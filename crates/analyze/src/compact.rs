@@ -8,8 +8,8 @@
 //! reordering-free merge replay semantics allow — and (2) re-encodes it
 //! with a tighter codec (v2) that packs the event tag, thread id, and a
 //! repeated-slice-length flag into a single lead byte. The result is
-//! saved as a `DPRZ` container, a sibling of the `DPRC` format with the
-//! same CRC-guarded section structure.
+//! saved as a `DPRZ` container of CRC-guarded sections (the layout of
+//! the retired version-2 `DPRC` recording container).
 //!
 //! Compaction is lossless by construction: the decoded recording contains
 //! the same events, so it replays to the identical final-state hash. The
@@ -292,7 +292,8 @@ fn decode_epoch(buf: &[u8]) -> Result<EpochRecord, ReplayError> {
 }
 
 /// Serializes a recording in the compact `DPRZ` container: magic, version,
-/// then CRC32-guarded sections exactly like `DPRC`, with every schedule
+/// then CRC32-guarded sections (meta, initial checkpoint, epoch count,
+/// one per epoch), with every schedule
 /// log in the v2 encoding. The recording is canonicalized with
 /// [`compact`] first, so saving is itself the compaction pass.
 ///
@@ -410,8 +411,9 @@ pub fn load_compact(buf: &[u8]) -> Result<Recording, ReplayError> {
     })
 }
 
-/// Loads a recording from any container format, dispatching on the magic:
-/// `DPRC` (standard), `DPRZ` (compact), or `DPRJ` (streaming journal).
+/// Loads a recording from either container, dispatching on the magic:
+/// compact `DPRZ`, or otherwise the recording stream
+/// ([`Recording::load`]: a saved recording or a finalized journal).
 ///
 /// A journal loads only when it is *clean* — finalized by a run that
 /// completed. A journal left behind by a crash is reported as corrupt
@@ -420,31 +422,14 @@ pub fn load_compact(buf: &[u8]) -> Result<Recording, ReplayError> {
 ///
 /// # Errors
 ///
-/// [`ReplayError::Corrupt`] for unrecognized or malformed containers and
-/// for unfinalized journals.
+/// [`ReplayError::UnsupportedVersion`] for retired or foreign format
+/// versions; [`ReplayError::Corrupt`] for unrecognized or malformed
+/// containers and for unfinalized journals.
 pub fn load_any(buf: &[u8]) -> Result<Recording, ReplayError> {
-    match buf.get(..4) {
-        Some(m) if m == MAGIC => load_compact(buf),
-        Some(m) if m == *b"DPRC" => Recording::load(buf),
-        Some(m) if m == dp_core::journal::JOURNAL_MAGIC => {
-            let salvaged = dp_core::JournalReader::salvage(buf)?;
-            if salvaged.clean {
-                Ok(salvaged.recording)
-            } else {
-                Err(corrupt(format!(
-                    "journal is not finalized ({}; {} committed epochs, {} bytes dropped) — \
-                     recover the committed prefix with `dp salvage`",
-                    salvaged.detail,
-                    salvaged.committed(),
-                    salvaged.dropped_bytes
-                )))
-            }
-        }
-        Some(m) => Err(corrupt(format!("unrecognized container magic {m:02x?}"))),
-        None => Err(corrupt(format!(
-            "file too short to be a recording ({} bytes)",
-            buf.len()
-        ))),
+    if buf.starts_with(&MAGIC) {
+        load_compact(buf)
+    } else {
+        Recording::load(buf)
     }
 }
 

@@ -3,7 +3,7 @@
 //! DoublePlay's recording is cheap *because* analysis is deferred: the
 //! paper's stated use cases — debugging and race diagnosis — happen on the
 //! log afterwards. This crate is that deferred half. It consumes saved
-//! recordings (the `DPRC` artifact) and fully verified observed replays to
+//! recordings (the `DPRS` stream artifact) and fully verified observed replays to
 //! produce correctness reports:
 //!
 //! * [`race`] — a vector-clock happens-before **data-race detector** that

@@ -618,8 +618,9 @@ pub fn table_analyze(size: Size) -> Table {
 /// E12 / Table: crash-consistent journaling & salvage (2 threads).
 ///
 /// For each workload one reference run streams its recording through a
-/// healthy `DPRJ` journal (the `none` row — also the journal-vs-`DPRC`
-/// byte-overhead figure). Then the run is repeated against sinks that die
+/// healthy journal (the `none` row, which also checks that the finalized
+/// journal is byte-identical to the saved recording: the journal costs
+/// no bytes over it by construction). Then the run is repeated against sinks that die
 /// deterministically: torn writes at byte offsets swept across the whole
 /// journal (including mid-frame cuts), `ENOSPC`, and a failed flush. Each
 /// crash leaves a journal prefix; `JournalReader::salvage` must recover
@@ -653,8 +654,8 @@ pub fn table_journal(size: Size) -> Table {
             dp_core::record_to(&case.spec, &config, &mut healthy).expect("reference record");
         let journal_len = healthy.bytes_written();
         let journal = healthy.into_inner();
-        let mut dprc = Vec::new();
-        reference.recording.save(&mut dprc).expect("save failed");
+        let mut saved = Vec::new();
+        reference.recording.save(&mut saved).expect("save failed");
         let clean = dp_core::JournalReader::salvage(&journal).expect("clean salvage");
         t.row(vec![
             case.name.to_string(),
@@ -663,10 +664,11 @@ pub fn table_journal(size: Size) -> Table {
             journal_len.to_string(),
             format!("{}/{}", clean.committed(), reference.recording.epochs.len()),
             "0".to_string(),
-            format!(
-                "clean; journal {:+.3}% vs DPRC",
-                (journal_len as f64 / dprc.len() as f64 - 1.0) * 100.0
-            ),
+            if journal == saved {
+                "clean; journal == saved recording".to_string()
+            } else {
+                "MISMATCH: journal differs from saved recording".to_string()
+            },
         ]);
 
         // Crash sweep: torn writes across the journal (the early cuts land
@@ -1162,7 +1164,7 @@ impl std::io::Write for SlowSink {
 pub struct ShardRow {
     /// Display label (`single`, `shard x4 sync`, ...).
     pub mode: &'static str,
-    /// Shard streams (1 = classic single-stream `DPRJ`).
+    /// Shard streams (1 = a single stream).
     pub shards: u32,
     /// Group-commit batch (epochs per shard between flushes).
     pub batch: u32,
@@ -1235,8 +1237,8 @@ pub fn shard_run(size: Size) -> ShardRun {
         let bundle = dp_core::record_to(&case.spec, &config, &mut w).expect("single record");
         let wall = started.elapsed();
         let sink = w.into_inner();
-        let mut dprc = Vec::new();
-        bundle.recording.save(&mut dprc).expect("save");
+        let mut saved = Vec::new();
+        bundle.recording.save(&mut saved).expect("save");
         rows.push(ShardRow {
             mode: "single",
             shards: 1,
@@ -1246,7 +1248,7 @@ pub fn shard_run(size: Size) -> ShardRun {
             commit_stall_ms: stall.load(std::sync::atomic::Ordering::SeqCst) as f64 / 1e6,
             wall_ms: wall.as_secs_f64() * 1e3,
         });
-        (bundle.stats.epochs, dprc)
+        (bundle.stats.epochs, saved)
     };
 
     // Modes 2..: sharded layouts, sync lanes then threaded lanes.
@@ -1273,9 +1275,9 @@ pub fn shard_run(size: Size) -> ShardRun {
         );
         let streams: Vec<Vec<u8>> = lanes.into_iter().map(|s| s.buf).collect();
         let merged = JournalReader::salvage_shards(&streams).expect("merge");
-        let mut dprc = Vec::new();
-        merged.recording.save(&mut dprc).expect("save");
-        merged_identical &= merged.clean && dprc == reference;
+        let mut saved = Vec::new();
+        merged.recording.save(&mut saved).expect("save");
+        merged_identical &= merged.clean && saved == reference;
         rows.push(ShardRow {
             mode,
             shards,

@@ -1,68 +1,31 @@
-//! The crash-consistent streaming recording journal (`DPRJ`).
+//! Streaming a recording as it is produced: the [`RecordSink`] interface
+//! and the single-stream [`JournalWriter`].
 //!
-//! [`Recording::save`] is monolithic: nothing is durable until the whole
-//! run finishes, so a crash of the recording machine forfeits everything
-//! captured so far. The journal is the streaming alternative: the record
-//! coordinator pushes every committed epoch through a [`RecordSink`], and
-//! a [`JournalWriter`] sink appends it to a durable file as a
-//! self-delimiting CRC32-framed record, flushing at each commit marker.
-//! After a crash — torn write, `ENOSPC`, failed flush, SIGKILL — a
-//! [`JournalReader::salvage`] scan reconstructs the longest committed
-//! epoch prefix as a valid, replayable [`Recording`].
+//! The record coordinator pushes every committed epoch through a
+//! [`RecordSink`]. A [`JournalWriter`] appends it to a durable file as a
+//! self-delimiting CRC32-framed record and flushes at each commit marker,
+//! so after a crash — torn write, `ENOSPC`, failed flush, SIGKILL — a
+//! [`crate::JournalReader::salvage`] scan reconstructs the longest
+//! committed epoch prefix as a valid, replayable [`crate::Recording`].
 //!
-//! ## Frame format
-//!
-//! ```text
-//! journal := magic "DPRJ" | version u32 le | frame*
-//! frame   := tag u8 | len u32 le | payload[len] | crc32(tag|len|payload) u32 le
-//!
-//! tag 1 HEADER  payload = wire(meta) ++ wire(initial checkpoint)
-//! tag 2 EPOCH   payload = wire(EpochRecord)
-//! tag 3 COMMIT  payload = epoch index u32 le ++ crc32(epoch payload) u32 le
-//! tag 4 FINAL   payload = epoch count u32 le          (clean completion)
-//! ```
-//!
-//! ## Commit rule
-//!
-//! An epoch is **committed** iff its EPOCH frame is intact (CRC valid,
-//! payload decodable, index in sequence) *and* the immediately following
-//! COMMIT frame is intact and names that epoch's index and payload CRC.
-//! The writer flushes after each COMMIT frame, so the commit marker
-//! reaching the device is the durability point — exactly the write-ahead
-//! rule of database redo logs. A torn write can only ever hurt the
-//! youngest, uncommitted suffix; salvage drops it and keeps the prefix.
+//! The journal is the 1-shard case of the recording container (see
+//! [`crate::journal_shards`] for the frame format and commit rule): the
+//! epoch the writer flushes last is the durability point, exactly the
+//! write-ahead rule of database redo logs. A finalized journal is
+//! byte-identical to [`crate::Recording::save`] of the same run.
 
 use std::io::{self, Write};
 
 use crate::checkpoint::CheckpointImage;
-use crate::error::{ReplayError, ResumeError};
-use crate::recording::{EncodedLogs, EpochRecord, Recording, RecordingMeta};
-use dp_support::crc32::crc32;
-use dp_support::wire::{to_bytes, Reader, Wire};
-
-/// Journal magic: "DPRJ" (DoublePlay Recording Journal).
-pub const JOURNAL_MAGIC: [u8; 4] = *b"DPRJ";
-/// Journal format version; bumped on any layout change. Version 2 switched
-/// the schedule/syscall log wire form to length-prefixed compact codec
-/// payloads (the encode-once commit path).
-const FORMAT_VERSION: u32 = 2;
-
-const TAG_HEADER: u8 = 1;
-const TAG_EPOCH: u8 = 2;
-const TAG_COMMIT: u8 = 3;
-const TAG_FINAL: u8 = 4;
-
-/// Tag byte + u32 length prefix.
-pub(crate) const FRAME_HEAD: usize = 5;
-/// CRC32 trailer.
-pub(crate) const FRAME_TAIL: usize = 4;
+use crate::journal_shards::ShardedJournalWriter;
+use crate::recording::{EncodedLogs, EpochRecord, RecordingMeta};
 
 /// Where the coordinator streams a recording as it is produced.
 ///
 /// [`epoch`](RecordSink::epoch) returning `Ok` means the sink has
 /// *accepted* the epoch; each implementation defines its own durability
 /// point. [`JournalWriter`] makes every epoch durable before returning
-/// (flush per commit marker), while the sharded
+/// (flush per commit marker), while a multi-stream
 /// [`crate::ShardedJournalWriter`] group-commits: acceptance is immediate
 /// but durability arrives at the next per-shard batch flush — after a
 /// crash, [`crate::JournalReader`] recovers exactly the durable prefix
@@ -79,8 +42,8 @@ pub trait RecordSink {
     /// order** (0, 1, 2, …): both recording drivers retire through the
     /// same in-order commit stage — even the pipelined one, whose verify
     /// workers finish out of order, holds results back until their turn.
-    /// Sinks may rely on this for append-only layouts (the sharded writer
-    /// relies on it to assign epochs to shard streams deterministically).
+    /// Sinks may rely on this for append-only layouts (the journal writers
+    /// rely on it to assign epochs to streams deterministically).
     fn epoch(&mut self, epoch: &EpochRecord) -> io::Result<()>;
     /// Like [`epoch`](RecordSink::epoch), but with the compact-codec log
     /// encodings the commit path already produced for cost accounting.
@@ -113,374 +76,60 @@ impl RecordSink for NullSink {
     }
 }
 
-/// Streams a recording into a durable sink as a `DPRJ` journal.
+/// Streams a recording into one durable writer: a 1-shard
+/// [`ShardedJournalWriter`] with a group-commit batch of 1, so every
+/// epoch's commit marker is flushed before [`RecordSink::epoch`] returns.
 ///
-/// Construction writes the magic and version immediately, so even a run
+/// Construction writes the stream preamble immediately, so even a run
 /// that crashes before its first epoch leaves an identifiable journal.
-#[derive(Debug)]
-pub struct JournalWriter<W: Write> {
-    sink: W,
-    written: u64,
-    epochs: u32,
-}
+pub struct JournalWriter<W: Write>(ShardedJournalWriter<W>);
 
 impl<W: Write> JournalWriter<W> {
-    /// Wraps `sink` and writes the journal preamble.
+    /// Wraps `sink` and writes the stream preamble.
     ///
     /// # Errors
     ///
     /// I/O failures from the sink.
-    pub fn new(mut sink: W) -> io::Result<Self> {
-        sink.write_all(&JOURNAL_MAGIC)?;
-        sink.write_all(&FORMAT_VERSION.to_le_bytes())?;
-        Ok(JournalWriter {
-            sink,
-            written: (JOURNAL_MAGIC.len() + 4) as u64,
-            epochs: 0,
-        })
-    }
-
-    /// Wraps a sink already holding exactly the committed prefix of
-    /// `salvaged` — the caller has truncated the torn tail to
-    /// [`Salvaged::committed_bytes`] — and positions the writer to append
-    /// epoch `salvaged.committed()` onward. Neither the preamble nor the
-    /// header frame is rewritten: the journal continues byte-for-byte
-    /// where the crashed incarnation's durable prefix ended.
-    pub fn resume_after(sink: W, salvaged: &Salvaged) -> Self {
-        JournalWriter {
-            sink,
-            written: salvaged.committed_bytes as u64,
-            epochs: salvaged.committed() as u32,
-        }
+    pub fn new(sink: W) -> io::Result<Self> {
+        ShardedJournalWriter::new(vec![sink], 1).map(JournalWriter)
     }
 
     /// Total journal bytes written so far (the write-overhead metric).
     pub fn bytes_written(&self) -> u64 {
-        self.written
+        self.0.bytes_written()
     }
 
     /// Epochs committed to the journal so far.
     pub fn epochs_committed(&self) -> u32 {
-        self.epochs
-    }
-
-    /// A shared view of the sink.
-    pub fn get_ref(&self) -> &W {
-        &self.sink
+        self.0.epochs_committed()
     }
 
     /// Unwraps the sink (e.g. to salvage the bytes a faulted sink holds).
     pub fn into_inner(self) -> W {
-        self.sink
+        // One inline lane: no lane thread exists that could have failed.
+        self.0
+            .into_writers()
+            .ok()
+            .and_then(|mut w| w.pop())
+            .expect("a journal writer owns exactly one inline stream")
     }
-
-    /// Writes one framed record: tag, length, payload, CRC32 over all
-    /// three (so a flipped tag or length is caught, not just payload rot).
-    fn frame(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
-        let len = u32::try_from(payload.len()).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "journal frame payload of {} bytes exceeds u32",
-                    payload.len()
-                ),
-            )
-        })?;
-        let mut head = [0u8; FRAME_HEAD];
-        head[0] = tag;
-        head[1..].copy_from_slice(&len.to_le_bytes());
-        let crc = frame_crc(&head, payload);
-        self.sink.write_all(&head)?;
-        self.sink.write_all(payload)?;
-        self.sink.write_all(&crc.to_le_bytes())?;
-        self.written += (FRAME_HEAD + payload.len() + FRAME_TAIL) as u64;
-        Ok(())
-    }
-
-    /// Appends one epoch from its serialized payload: in-order check,
-    /// EPOCH frame, COMMIT marker, flush. Shared by both sink entry points
-    /// so the commit rule is stated once.
-    fn epoch_payload(&mut self, index: u32, payload: &[u8]) -> io::Result<()> {
-        // Enforce the RecordSink in-order contract: a commit stage bug
-        // (out-of-order retirement in the pipelined driver) must surface
-        // here, not as a silently unreplayable journal.
-        if index != self.epochs {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "out-of-order epoch {index} (journal expects {})",
-                    self.epochs
-                ),
-            ));
-        }
-        let payload_crc = crc32(payload);
-        self.frame(TAG_EPOCH, payload)?;
-        let mut commit = [0u8; 8];
-        commit[..4].copy_from_slice(&index.to_le_bytes());
-        commit[4..].copy_from_slice(&payload_crc.to_le_bytes());
-        self.frame(TAG_COMMIT, &commit)?;
-        // The flush is the durability point: an epoch whose commit marker
-        // never reached the device is, by the commit rule, uncommitted.
-        self.sink.flush()?;
-        self.epochs += 1;
-        Ok(())
-    }
-}
-
-impl JournalWriter<std::fs::File> {
-    /// Reopens the journal at `path` for append: salvages the committed
-    /// prefix, truncates any torn tail back to the last COMMIT frame
-    /// (truncate-then-flush — the tail is gone and synced before any new
-    /// byte is appended), and returns a writer accepting epoch `k+1`
-    /// onward plus the salvage result (whose recording is the prefix to
-    /// re-enact).
-    ///
-    /// # Errors
-    ///
-    /// [`ResumeError::AlreadyFinalized`] when the journal completed
-    /// cleanly (nothing to resume), [`ResumeError::BadPrefix`] when
-    /// nothing is salvageable, [`ResumeError::Io`] on reopen/truncate
-    /// failures.
-    pub fn resume(path: &std::path::Path) -> Result<(Self, Salvaged), ResumeError> {
-        let io_err = |e: io::Error| ResumeError::Io {
-            detail: e.to_string(),
-        };
-        let bytes = std::fs::read(path).map_err(io_err)?;
-        let salvaged = JournalReader::salvage(&bytes).map_err(|e| ResumeError::BadPrefix {
-            detail: e.to_string(),
-        })?;
-        if salvaged.clean {
-            return Err(ResumeError::AlreadyFinalized {
-                epochs: salvaged.committed(),
-            });
-        }
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)
-            .map_err(io_err)?;
-        file.set_len(salvaged.committed_bytes as u64)
-            .map_err(io_err)?;
-        file.sync_data().map_err(io_err)?;
-        let mut file = file;
-        use std::io::Seek;
-        file.seek(io::SeekFrom::End(0)).map_err(io_err)?;
-        Ok((Self::resume_after(file, &salvaged), salvaged))
-    }
-}
-
-/// CRC32 over the frame head and payload as one logical buffer.
-pub(crate) fn frame_crc(head: &[u8], payload: &[u8]) -> u32 {
-    let mut buf = Vec::with_capacity(head.len() + payload.len());
-    buf.extend_from_slice(head);
-    buf.extend_from_slice(payload);
-    crc32(&buf)
 }
 
 impl<W: Write> RecordSink for JournalWriter<W> {
     fn begin(&mut self, meta: &RecordingMeta, initial: &CheckpointImage) -> io::Result<()> {
-        let mut payload = Vec::new();
-        meta.put(&mut payload);
-        initial.put(&mut payload);
-        self.frame(TAG_HEADER, &payload)?;
-        self.sink.flush()
+        self.0.begin(meta, initial)
     }
 
     fn epoch(&mut self, epoch: &EpochRecord) -> io::Result<()> {
-        let payload = to_bytes(epoch);
-        self.epoch_payload(epoch.index, &payload)
+        self.0.epoch(epoch)
     }
 
     fn epoch_encoded(&mut self, epoch: &EpochRecord, logs: &EncodedLogs) -> io::Result<()> {
-        let mut payload = Vec::new();
-        epoch.put_with(logs, &mut payload);
-        self.epoch_payload(epoch.index, &payload)
+        self.0.epoch_encoded(epoch, logs)
     }
 
     fn finish(&mut self) -> io::Result<()> {
-        self.frame(TAG_FINAL, &self.epochs.to_le_bytes())?;
-        self.sink.flush()
-    }
-}
-
-/// What a salvage scan recovered from a journal.
-#[derive(Debug)]
-pub struct Salvaged {
-    /// The reconstructed recording: header plus the longest committed
-    /// epoch prefix. Always valid and replayable (possibly zero epochs).
-    pub recording: Recording,
-    /// True when the journal carries a FINAL frame matching the epoch
-    /// count — the run completed cleanly; nothing was lost.
-    pub clean: bool,
-    /// Journal bytes consumed as valid frames.
-    pub salvaged_bytes: usize,
-    /// Bytes up to and including the last committed epoch's COMMIT frame
-    /// (the header frame's end when no epoch committed). This is the
-    /// truncation point for append-reopen: everything past it — a torn
-    /// frame, an uncommitted epoch, even a bogus FINAL marker — is tail
-    /// to drop before the journal accepts epoch `committed()` onward.
-    pub committed_bytes: usize,
-    /// Trailing bytes dropped (torn frame, uncommitted epoch, garbage).
-    pub dropped_bytes: usize,
-    /// Why the scan stopped, for operator-facing reporting.
-    pub detail: String,
-}
-
-impl Salvaged {
-    /// Epochs recovered.
-    pub fn committed(&self) -> usize {
-        self.recording.epochs.len()
-    }
-}
-
-/// Parses `DPRJ` journals, including ones a crash left behind.
-pub struct JournalReader;
-
-/// One intact frame: tag, payload slice, and the offset just past it.
-pub(crate) struct Frame<'a> {
-    pub(crate) tag: u8,
-    pub(crate) payload: &'a [u8],
-    pub(crate) end: usize,
-}
-
-/// Reads the frame at `pos`, validating bounds and CRC. `None` means the
-/// bytes from `pos` on do not form an intact frame — truncation, a torn
-/// write, or corruption; salvage treats all three identically.
-pub(crate) fn read_frame(buf: &[u8], pos: usize) -> Option<Frame<'_>> {
-    let head = buf.get(pos..pos + FRAME_HEAD)?;
-    let len = u32::from_le_bytes(head[1..5].try_into().unwrap()) as usize;
-    let payload_end = pos.checked_add(FRAME_HEAD)?.checked_add(len)?;
-    let end = payload_end.checked_add(FRAME_TAIL)?;
-    if end > buf.len() {
-        return None;
-    }
-    let payload = &buf[pos + FRAME_HEAD..payload_end];
-    let stored = u32::from_le_bytes(buf[payload_end..end].try_into().unwrap());
-    if stored != frame_crc(head, payload) {
-        return None;
-    }
-    Some(Frame {
-        tag: head[0],
-        payload,
-        end,
-    })
-}
-
-impl JournalReader {
-    /// Reconstructs the longest committed epoch prefix from a journal,
-    /// applying the commit rule frame by frame. Works on intact journals
-    /// (returns everything, `clean == true` when finalized) and on any
-    /// crash-truncated or tail-corrupted byte prefix.
-    ///
-    /// # Errors
-    ///
-    /// [`ReplayError::UnsupportedVersion`] for a journal written by a
-    /// different format version; [`ReplayError::Corrupt`] only when nothing
-    /// is salvageable: missing or foreign magic or an unrecoverable header
-    /// frame (without meta and the initial checkpoint there is no valid
-    /// `Recording` to build). Never panics, whatever the input.
-    pub fn salvage(buf: &[u8]) -> Result<Salvaged, ReplayError> {
-        let corrupt = |detail: String| ReplayError::Corrupt { detail };
-        if buf.len() < 8 {
-            return Err(corrupt(format!(
-                "file too short to be a journal ({} bytes)",
-                buf.len()
-            )));
-        }
-        if buf[..4] != JOURNAL_MAGIC {
-            return Err(corrupt(format!("bad journal magic {:02x?}", &buf[..4])));
-        }
-        let version = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-        if version != FORMAT_VERSION {
-            return Err(ReplayError::UnsupportedVersion {
-                container: "journal",
-                found: version,
-                expected: FORMAT_VERSION,
-            });
-        }
-        let header = read_frame(buf, 8)
-            .filter(|f| f.tag == TAG_HEADER)
-            .ok_or_else(|| corrupt("journal header frame missing or torn".into()))?;
-        let mut r = Reader::new(header.payload);
-        let meta = RecordingMeta::get(&mut r)
-            .map_err(|e| corrupt(format!("journal header meta undecodable: {e}")))?;
-        let initial = CheckpointImage::get(&mut r)
-            .map_err(|e| corrupt(format!("journal header checkpoint undecodable: {e}")))?;
-        if !r.is_empty() {
-            return Err(corrupt(format!(
-                "{} trailing bytes inside journal header frame",
-                r.remaining()
-            )));
-        }
-
-        let mut epochs: Vec<EpochRecord> = Vec::new();
-        let mut pos = header.end;
-        let mut committed_bytes = header.end;
-        let mut clean = false;
-        let detail = loop {
-            let Some(frame) = read_frame(buf, pos) else {
-                break if pos == buf.len() {
-                    "journal ends mid-run (no final marker)".to_string()
-                } else {
-                    format!("torn or corrupt frame at byte {pos}")
-                };
-            };
-            match frame.tag {
-                TAG_EPOCH => {
-                    let index = epochs.len() as u32;
-                    let Ok(epoch) = dp_support::wire::from_bytes::<EpochRecord>(frame.payload)
-                    else {
-                        break format!("epoch frame at byte {pos} undecodable");
-                    };
-                    if epoch.index != index {
-                        break format!(
-                            "epoch frame at byte {pos} out of sequence \
-                             (index {}, expected {index})",
-                            epoch.index
-                        );
-                    }
-                    // The commit rule: the very next frame must be this
-                    // epoch's commit marker.
-                    let payload_crc = crc32(frame.payload);
-                    let Some(commit) = read_frame(buf, frame.end).filter(|c| {
-                        c.tag == TAG_COMMIT
-                            && c.payload.len() == 8
-                            && c.payload[..4] == index.to_le_bytes()
-                            && c.payload[4..] == payload_crc.to_le_bytes()
-                    }) else {
-                        break format!("epoch {index} has no commit marker (uncommitted)");
-                    };
-                    epochs.push(epoch);
-                    pos = commit.end;
-                    committed_bytes = pos;
-                }
-                TAG_FINAL => {
-                    let ok = frame.payload.len() == 4
-                        && frame.payload == (epochs.len() as u32).to_le_bytes();
-                    pos = frame.end;
-                    if ok {
-                        clean = true;
-                        break "clean completion".to_string();
-                    }
-                    break "final marker disagrees with committed epoch count".to_string();
-                }
-                TAG_COMMIT => break format!("orphan commit marker at byte {pos}"),
-                t => break format!("unknown frame tag {t} at byte {pos}"),
-            }
-        };
-
-        Ok(Salvaged {
-            recording: Recording {
-                meta,
-                initial,
-                epochs,
-            },
-            clean,
-            salvaged_bytes: pos,
-            committed_bytes,
-            dropped_bytes: buf.len() - pos,
-            detail,
-        })
+        self.0.finish()
     }
 }
 
@@ -488,8 +137,13 @@ impl JournalReader {
 mod tests {
     use super::*;
     use crate::config::DoublePlayConfig;
+    use crate::error::ReplayError;
+    use crate::journal_shards::JournalReader;
     use crate::logs::{ScheduleLog, SyscallLog};
     use dp_vm::Tid;
+
+    /// Bytes of one COMMIT frame: tag, length, index, payload CRC, CRC.
+    const COMMIT_FRAME: usize = 5 + 8 + 4;
 
     fn tiny_parts() -> (RecordingMeta, CheckpointImage, Vec<EpochRecord>) {
         let meta = RecordingMeta {
@@ -531,6 +185,8 @@ mod tests {
         (meta, initial, epochs)
     }
 
+    /// A journal of the three tiny epochs and, per epoch, the offset just
+    /// past its commit marker.
     fn journal_bytes(finalize: bool) -> (Vec<u8>, Vec<u64>) {
         let (meta, initial, epochs) = tiny_parts();
         let mut w = JournalWriter::new(Vec::new()).unwrap();
@@ -564,6 +220,7 @@ mod tests {
         let s = JournalReader::salvage(&buf).unwrap();
         assert!(s.clean);
         assert_eq!(s.committed(), 3);
+        assert_eq!(s.shard_count, 1);
         assert_eq!(s.dropped_bytes, 0);
         assert_eq!(s.recording.epochs[2].end_machine_hash, 102);
         assert_eq!(s.recording.meta.guest_name, "j");
@@ -603,14 +260,17 @@ mod tests {
     }
 
     #[test]
-    fn bitflips_after_header_never_gain_epochs_or_panic() {
+    fn bitflips_never_gain_epochs_or_panic() {
         let (buf, commits) = journal_bytes(true);
         let full = commits.len();
         for i in 0..buf.len() {
             let mut bad = buf.clone();
             bad[i] ^= 0x40;
             match JournalReader::salvage(&bad) {
-                Ok(s) => assert!(s.committed() <= full),
+                Ok(s) => {
+                    assert!(s.committed() <= full);
+                    assert!(!s.clean, "flip at {i} still clean");
+                }
                 Err(ReplayError::Corrupt { .. }) => {}
                 // A flip inside the 4-byte version field reads as a
                 // foreign version, which is typed separately.
@@ -622,38 +282,39 @@ mod tests {
 
     #[test]
     fn commit_marker_is_required() {
-        // Chop the journal right after an epoch frame but before its
-        // commit marker: the epoch must not be salvaged.
+        // Chop the journal right after epoch 1's frame, before its commit
+        // marker: the epoch must not be salvaged.
         let (buf, commits) = journal_bytes(false);
-        let cut = commits[1] as usize - FRAME_HEAD - 8 - FRAME_TAIL - 1;
+        let cut = commits[1] as usize - COMMIT_FRAME;
         let s = JournalReader::salvage(&buf[..cut]).unwrap();
         assert_eq!(s.committed(), 1);
-        assert!(s.detail.contains("commit marker") || s.detail.contains("torn"));
+        assert_eq!(s.detail, "epoch 1 not committed in shard 0");
     }
 
     #[test]
-    fn committed_bytes_tracks_the_last_commit_frame() {
+    fn shard_keep_tracks_the_last_commit_frame() {
         let (buf, commits) = journal_bytes(true);
         let s = JournalReader::salvage(&buf).unwrap();
-        // Clean journal: committed_bytes excludes the FINAL frame.
-        assert_eq!(s.committed_bytes as u64, *commits.last().unwrap());
+        // Clean journal: the keep point excludes the FINAL frame.
+        assert_eq!(s.shard_keep, vec![Some(*commits.last().unwrap() as usize)]);
         assert_eq!(s.salvaged_bytes, buf.len());
-        // Cut mid-epoch: committed_bytes stays at the previous commit.
+        // Cut mid-epoch: the keep point stays at the previous commit.
         let cut = commits[1] as usize + 3;
         let s = JournalReader::salvage(&buf[..cut]).unwrap();
         assert_eq!(s.committed(), 2);
-        assert_eq!(s.committed_bytes as u64, commits[1]);
-        // No epochs at all: committed_bytes is the header frame's end,
-        // and re-salvaging exactly that prefix is stable.
+        assert_eq!(s.shard_keep, vec![Some(commits[1] as usize)]);
+        // No epochs at all: the keep point is the header frame's end, and
+        // re-salvaging exactly that prefix is stable.
         let s = JournalReader::salvage(&buf[..commits[0] as usize - 1]).unwrap();
         assert_eq!(s.committed(), 0);
-        let s0 = JournalReader::salvage(&buf[..s.committed_bytes]).unwrap();
+        let keep = s.shard_keep[0].unwrap();
+        let s0 = JournalReader::salvage(&buf[..keep]).unwrap();
         assert_eq!(s0.committed(), 0);
-        assert_eq!(s0.committed_bytes, s.committed_bytes);
+        assert_eq!(s0.shard_keep, s.shard_keep);
     }
 
     #[test]
-    fn resume_after_continues_byte_identically() {
+    fn resume_continues_byte_identically() {
         let (full, commits) = journal_bytes(true);
         let (_, _, epochs) = tiny_parts();
         // Crash after epoch 1's commit, mid-epoch-2: salvage, truncate to
@@ -661,80 +322,55 @@ mod tests {
         let cut = commits[1] as usize + 7;
         let s = JournalReader::salvage(&full[..cut]).unwrap();
         assert_eq!(s.committed(), 2);
-        let prefix = full[..s.committed_bytes].to_vec();
-        let mut w = JournalWriter::resume_after(prefix, &s);
+        let prefix = full[..s.shard_keep[0].unwrap()].to_vec();
+        let mut w = ShardedJournalWriter::resume(vec![prefix], 1, &s).unwrap();
         assert_eq!(w.epochs_committed(), 2);
-        assert_eq!(w.bytes_written() as usize, s.committed_bytes);
+        assert_eq!(w.bytes_written() as usize, s.shard_keep[0].unwrap());
         // Out-of-order guard still holds across the crash boundary.
         assert!(w.epoch(&epochs[0]).is_err());
         w.epoch(&epochs[2]).unwrap();
         w.finish().unwrap();
-        assert_eq!(w.into_inner(), full);
+        assert_eq!(w.into_writers().unwrap(), vec![full]);
     }
 
     #[test]
-    fn file_resume_truncates_the_torn_tail_and_appends() {
-        let (full, commits) = journal_bytes(true);
-        let (_, _, epochs) = tiny_parts();
-        let dir = std::env::temp_dir().join(format!(
-            "dprj-resume-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn.dprj");
-        let cut = commits[1] as usize + 7;
-        std::fs::write(&path, &full[..cut]).unwrap();
-        let (mut w, s) = JournalWriter::resume(&path).unwrap();
-        assert_eq!(s.committed(), 2);
-        assert_eq!(w.epochs_committed(), 2);
-        w.epoch(&epochs[2]).unwrap();
-        w.finish().unwrap();
-        drop(w);
-        assert_eq!(std::fs::read(&path).unwrap(), full);
-        // A finalized journal is a typed no-op, not an append target.
-        assert!(matches!(
-            JournalWriter::resume(&path),
-            Err(crate::error::ResumeError::AlreadyFinalized { epochs: 3 })
-        ));
-        // Garbage is a typed error, never a panic.
-        let garbage = dir.join("garbage.dprj");
-        std::fs::write(&garbage, b"not a journal").unwrap();
-        assert!(matches!(
-            JournalWriter::resume(&garbage),
-            Err(crate::error::ResumeError::BadPrefix { .. })
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn garbage_and_foreign_magic_are_typed_errors() {
+    fn retired_containers_and_garbage_are_typed_errors() {
         assert!(matches!(
             JournalReader::salvage(b""),
             Err(ReplayError::Corrupt { .. })
         ));
         assert!(matches!(
-            JournalReader::salvage(b"DPRC\x01\x00\x00\x00rest"),
+            JournalReader::salvage(b"WAT?\x03\x00\x00\x00rest"),
             Err(ReplayError::Corrupt { .. })
         ));
-        // A mismatched version on an intact preamble is not corruption: it
-        // must surface as the typed version error (here, a version-1 file
-        // from before the encode-once log format).
-        for found in [1u32, 9] {
-            let mut bad_version = Vec::new();
-            bad_version.extend_from_slice(&JOURNAL_MAGIC);
-            bad_version.extend_from_slice(&found.to_le_bytes());
-            match JournalReader::salvage(&bad_version) {
-                Err(ReplayError::UnsupportedVersion {
-                    container,
-                    found: f,
-                    expected,
-                }) => {
-                    assert_eq!(container, "journal");
-                    assert_eq!(f, found);
-                    assert_eq!(expected, 2);
+        // Version-2 files of every pre-v3 magic — the monolithic `DPRC`
+        // recording, the `DPRJ` journal, and the `DPRS` stream — are not
+        // corruption: each must surface as the typed version error.
+        let (buf, _) = journal_bytes(true);
+        for (magic, container) in [
+            (*b"DPRC", "recording"),
+            (*b"DPRJ", "journal"),
+            (*b"DPRS", "recording stream"),
+        ] {
+            let mut old = buf.clone();
+            old[..4].copy_from_slice(&magic);
+            old[4..8].copy_from_slice(&2u32.to_le_bytes());
+            for result in [
+                JournalReader::salvage(&old).err(),
+                crate::Recording::load(&old[..]).err(),
+            ] {
+                match result {
+                    Some(ReplayError::UnsupportedVersion {
+                        container: c,
+                        found,
+                        expected,
+                    }) => {
+                        assert_eq!(c, container);
+                        assert_eq!(found, 2);
+                        assert_eq!(expected, 3);
+                    }
+                    other => panic!("{container}: expected UnsupportedVersion, got {other:?}"),
                 }
-                other => panic!("expected UnsupportedVersion, got {other:?}"),
             }
         }
     }

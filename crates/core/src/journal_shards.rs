@@ -1,53 +1,50 @@
-//! N-way sharded journaling (`DPRS`): parallel log streams with a
-//! deterministic merge.
+//! The recording container: `N` parallel, crash-consistent log streams
+//! (`DPRS`) with a deterministic merge.
 //!
-//! The single-stream [`crate::JournalWriter`] flushes once per epoch —
-//! the commit marker reaching the device *is* the durability point — so
-//! every committed epoch pays one synchronous flush on the commit stage,
-//! the largest remaining serial section of the pipelined recorder. The
-//! sharded writer splits the journal into `N` independent shard streams
-//! (Taurus-style parallel log streams): epoch `i` is appended to shard
-//! `i mod N`, stamped with its epoch index and an **epoch-dependency
-//! vector**, and each shard *group-commits* — it flushes once per `batch`
-//! epochs instead of once per epoch. In threaded mode each shard stream
-//! is appended by its own lane thread, so the commit stage only
-//! serializes the frame and hands it off; the flush leaves the hot path
-//! entirely.
+//! Every persisted recording — a saved [`Recording`], a streaming
+//! [`crate::JournalWriter`] journal, a sharded journal, a daemon
+//! session's journal — is one or more streams in this format. A single
+//! stream is simply the `N = 1` case (Taurus-style parallel log streams,
+//! where single-stream logging is one stream of many): epoch `i` is
+//! appended to stream `i mod N`, and each stream *group-commits* — it
+//! flushes once per `batch` of its epochs. A 1-shard stream with a batch
+//! of 1 flushes at every commit marker, the classic write-ahead rule. In
+//! threaded mode each stream is appended by its own lane thread, so the
+//! commit stage only serializes the frames and hands them off; the flush
+//! leaves the hot path entirely.
 //!
-//! ## Shard stream format
-//!
-//! Each shard is a self-delimiting framed stream like `DPRJ` (same
-//! `tag | len | payload | crc32` frames, same commit rule) under its own
-//! magic:
+//! ## Stream format (version 3)
 //!
 //! ```text
-//! shard  := magic "DPRS" | version u32 le | frame*
+//! stream := magic "DPRS" | version u32 le | frame*
+//! frame  := tag u8 | len u32 le | payload[len] | crc32(tag|len|payload) u32 le
 //!
-//! tag 1 SHARD   payload = shard index u32 le ++ shard count u32 le
+//! tag 1 HEADER  payload = shard index u32 le ++ shard count u32 le
 //!                         ++ program hash u64 le ++ initial hash u64 le
 //!                         ++ full u8 ++ (full == 1: wire(meta) ++ wire(initial))
-//! tag 2 EPOCH   payload = epoch index u32 le
-//!                         ++ dep vector (shard count × u32 le)
-//!                         ++ wire(EpochRecord)
+//! tag 2 EPOCH   payload = epoch index u32 le ++ wire(EpochRecord)
 //! tag 3 COMMIT  payload = epoch index u32 le ++ crc32(epoch payload) u32 le
-//! tag 4 FINAL   payload = total epoch count u32 le    (every shard, on finish)
+//! tag 4 FINAL   payload = total epoch count u32 le    (every stream, on finish)
 //! ```
 //!
 //! Only shard 0 carries the full header (`full == 1`: meta plus the
-//! initial checkpoint); every shard carries the identity hashes, so a
-//! stray shard file can be paired with — or rejected from — its siblings.
+//! initial checkpoint); every stream carries the identity hashes, so a
+//! stray stream can be paired with — or rejected from — its siblings.
 //!
-//! ## Dependency vectors and the consistent cross-shard prefix
+//! ## Commit rule and the consistent cross-shard prefix
 //!
-//! Entry `t` of epoch `i`'s dependency vector is the number of epochs
-//! with index `< i` assigned to shard `t` — everything `i` depends on,
-//! expressed as per-shard durable-prefix lengths. After a crash an epoch
-//! is salvageable iff its own commit frame is durable in its shard *and*
-//! every dependency-vector entry is covered by that shard's durable
-//! committed epochs; [`JournalReader::salvage_shards`] recomposes the
-//! longest dependency-closed epoch prefix, which loads **byte-identical**
-//! to the recording the sequential driver (and single-stream journal)
-//! would have produced.
+//! An epoch is **committed** in its stream iff its EPOCH frame is intact
+//! (CRC valid, payload decodable, index in sequence for that stream) *and*
+//! the immediately following COMMIT frame is intact and names that
+//! epoch's index and payload CRC. A torn write can only ever hurt the
+//! youngest, uncommitted suffix of a stream.
+//!
+//! Placement is round-robin, so epoch `i` depends on exactly the epochs
+//! `< i`, which sit in known positions of known streams. Salvage walks
+//! epochs `0, 1, 2, …`, taking each from the front of stream `i mod N`,
+//! and stops at the first epoch that is not committed there: the result
+//! is the longest prefix every epoch of which is durable, and it loads
+//! **byte-identical** to the recording the sequential driver produced.
 
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,53 +53,109 @@ use std::thread::JoinHandle;
 
 use crate::checkpoint::CheckpointImage;
 use crate::error::ReplayError;
-use crate::journal::{frame_crc, read_frame, JournalReader, RecordSink, FRAME_HEAD, FRAME_TAIL};
+use crate::journal::RecordSink;
 use crate::recording::{EncodedLogs, EpochRecord, Recording, RecordingMeta};
 use dp_support::crc32::crc32;
 use dp_support::wire::{Reader, Wire};
 
-/// Shard stream magic: "DPRS" (DoublePlay Recording Shard).
-pub const SHARD_MAGIC: [u8; 4] = *b"DPRS";
-/// Shard stream format version; bumped on any layout change. Version 2
-/// switched the schedule/syscall log wire form to length-prefixed compact
-/// codec payloads (the encode-once commit path).
-const SHARD_VERSION: u32 = 2;
+/// Stream magic: "DPRS" (DoublePlay Recording Stream).
+const MAGIC: [u8; 4] = *b"DPRS";
+/// Stream format version; bumped on any layout change. Version 2 switched
+/// the log wire form to length-prefixed compact codec payloads; version 3
+/// made the stream the only container and dropped the per-epoch
+/// dependency vectors (round-robin placement determines them).
+const VERSION: u32 = 3;
+/// Magics of the containers version 3 retired, with the names their
+/// version errors report: the monolithic recording and the single-stream
+/// journal.
+const RETIRED: [([u8; 4], &str); 2] = [(*b"DPRC", "recording"), (*b"DPRJ", "journal")];
 
-const TAG_SHARD: u8 = 1;
+const TAG_HEADER: u8 = 1;
 const TAG_EPOCH: u8 = 2;
 const TAG_COMMIT: u8 = 3;
 const TAG_FINAL: u8 = 4;
 
+/// Tag byte + u32 length prefix.
+const FRAME_HEAD: usize = 5;
+/// CRC32 trailer.
+const FRAME_TAIL: usize = 4;
+/// Fixed part of the HEADER payload, before the optional full header.
+const HEADER_FIXED: usize = 25;
+
 /// Default group-commit size: epochs per shard between flushes.
 pub const DEFAULT_SHARD_BATCH: u32 = 8;
 
-/// Epoch `index`'s dependency vector over `shards` streams: entry `t` is
-/// the number of epochs with index `< index` assigned (round-robin) to
-/// shard `t`. Recorded with every epoch frame so salvage can check
-/// dependency closure without assuming the assignment policy.
-fn dep_vector(index: u32, shards: u32) -> Vec<u32> {
-    (0..shards)
-        .map(|t| {
-            if index > t {
-                (index - 1 - t) / shards + 1
-            } else {
-                0
-            }
-        })
-        .collect()
+/// The group-commit size a `shards`-stream journal uses: a single stream
+/// flushes at every commit marker, so each accepted epoch is durable
+/// before [`RecordSink::epoch`] returns; split streams exist to amortize
+/// flushes and commit [`DEFAULT_SHARD_BATCH`] epochs per flush.
+pub fn group_commit(shards: u32) -> u32 {
+    if shards <= 1 {
+        1
+    } else {
+        DEFAULT_SHARD_BATCH
+    }
 }
 
-/// Builds one framed record (`tag | len | payload | crc32`) as bytes.
-fn frame_bytes(tag: u8, payload: &[u8]) -> Vec<u8> {
-    let mut head = [0u8; FRAME_HEAD];
-    head[0] = tag;
-    head[1..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    let crc = frame_crc(&head, payload);
-    let mut out = Vec::with_capacity(FRAME_HEAD + payload.len() + FRAME_TAIL);
-    out.extend_from_slice(&head);
+/// Appends one framed record (`tag | len | payload | crc32`) to `out`.
+fn put_frame(out: &mut Vec<u8>, tag: u8, payload: &[u8]) -> io::Result<()> {
+    let len = u32::try_from(payload.len()).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame payload of {} bytes exceeds u32", payload.len()),
+        )
+    })?;
+    let start = out.len();
+    out.reserve(FRAME_HEAD + payload.len() + FRAME_TAIL);
+    out.push(tag);
+    out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(payload);
+    let crc = crc32(&out[start..]);
     out.extend_from_slice(&crc.to_le_bytes());
-    out
+    Ok(())
+}
+
+/// One framed record as bytes.
+fn frame(tag: u8, payload: &[u8]) -> io::Result<Vec<u8>> {
+    let mut out = Vec::new();
+    put_frame(&mut out, tag, payload)?;
+    Ok(out)
+}
+
+/// One intact frame: tag, payload slice, and the offset just past it.
+struct Frame<'a> {
+    tag: u8,
+    payload: &'a [u8],
+    end: usize,
+}
+
+/// Reads the frame at `pos`, validating bounds and CRC. `None` means the
+/// bytes from `pos` on do not form an intact frame — truncation, a torn
+/// write, or corruption; salvage treats all three identically.
+fn read_frame(buf: &[u8], pos: usize) -> Option<Frame<'_>> {
+    let head = buf.get(pos..pos.checked_add(FRAME_HEAD)?)?;
+    let len = u32::from_le_bytes([head[1], head[2], head[3], head[4]]) as usize;
+    let payload_end = pos.checked_add(FRAME_HEAD)?.checked_add(len)?;
+    let end = payload_end.checked_add(FRAME_TAIL)?;
+    let stored = buf.get(payload_end..end)?;
+    if u32::from_le_bytes([stored[0], stored[1], stored[2], stored[3]])
+        != crc32(&buf[pos..payload_end])
+    {
+        return None;
+    }
+    Some(Frame {
+        tag: head[0],
+        payload: &buf[pos + FRAME_HEAD..payload_end],
+        end,
+    })
+}
+
+fn u32_at(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
+}
+
+fn u64_at(b: &[u8], at: usize) -> u64 {
+    u64::from(u32_at(b, at)) | (u64::from(u32_at(b, at + 4)) << 32)
 }
 
 /// What a lane carries per hand-off: bytes to append, how many epoch
@@ -114,11 +167,11 @@ struct LaneMsg {
     force_flush: bool,
 }
 
-/// One shard stream's writer: either written inline by the caller of
-/// [`RecordSink::epoch`] (sync mode) or by a dedicated lane thread
-/// (threaded mode — the commit stage only serializes and sends).
-enum Lane<W: Write + Send> {
-    Sync {
+/// One stream's writer: either written inline by the caller of
+/// [`RecordSink::epoch`] or by a dedicated lane thread (the commit stage
+/// only serializes and sends).
+enum Lane<W> {
+    Inline {
         w: W,
         /// Epoch commits appended since the last flush.
         pending: u32,
@@ -129,118 +182,107 @@ enum Lane<W: Write + Send> {
     },
 }
 
-/// Streams a recording into `N` shard streams with per-shard group
-/// commit. Implements [`RecordSink`], so both recording drivers accept it
-/// wherever a [`crate::JournalWriter`] goes.
+/// Streams a recording into `N` streams with per-stream group commit.
+/// Implements [`RecordSink`], so both recording drivers accept it.
 ///
-/// Byte determinism: every shard's byte stream is a pure function of the
-/// epoch sequence (frames are serialized by the committing caller, in
-/// commit order, before any hand-off), so threading changes *when* bytes
-/// become durable, never *which* bytes the streams contain.
-pub struct ShardedJournalWriter<W: Write + Send> {
+/// Byte determinism: every stream's bytes are a pure function of the
+/// epoch sequence and the shard count (frames are serialized by the
+/// committing caller, in commit order, before any hand-off), so threading
+/// and the batch size change *when* bytes become durable, never *which*
+/// bytes the streams contain.
+pub struct ShardedJournalWriter<W: Write> {
     lanes: Vec<Lane<W>>,
-    batch: u32,
+    shared: LaneShared,
     epochs: u32,
     written: u64,
-    /// Flushes issued across all lanes (the E15 amortization metric).
-    flushes: Arc<AtomicU64>,
-    /// First error observed by a lane thread, surfaced on the next call.
-    lane_err: Arc<Mutex<Option<String>>>,
 }
 
-impl<W: Write + Send> ShardedJournalWriter<W> {
-    /// Wraps one writer per shard (sync mode: appends and flushes happen
-    /// inline on the committing thread) and writes each stream's
-    /// preamble. `batch` is the group-commit size; 0 is treated as 1
-    /// (flush per epoch, the single-stream behaviour per shard).
+impl<W: Write> ShardedJournalWriter<W> {
+    /// Wraps one writer per shard (appends and flushes happen inline on
+    /// the committing thread) and writes each stream's preamble. `batch`
+    /// is the group-commit size; 0 is treated as 1 (flush per epoch).
     ///
     /// # Errors
     ///
     /// `InvalidInput` when `writers` is empty; I/O failures from the
     /// preamble writes.
     pub fn new(writers: Vec<W>, batch: u32) -> io::Result<Self> {
-        if writers.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "sharded journal needs at least one shard",
-            ));
-        }
-        let mut this = ShardedJournalWriter {
-            lanes: writers
-                .into_iter()
-                .map(|w| Lane::Sync { w, pending: 0 })
-                .collect(),
-            batch: batch.max(1),
-            epochs: 0,
-            written: 0,
-            flushes: Arc::new(AtomicU64::new(0)),
-            lane_err: Arc::new(Mutex::new(None)),
-        };
-        this.preamble()?;
-        Ok(this)
+        Self::open(writers, batch, None, |_, w, _| Ok(inline(w)))
     }
 
-    /// Wraps shard writers already holding exactly the merged prefix of
+    /// Wraps writers already holding exactly the merged prefix of
     /// `salvaged` — the caller has truncated stream `t` to
-    /// `salvaged.shard_keep[t]` — and positions the writer to append
-    /// epoch `salvaged.committed()` onward. No preamble or header frame
-    /// is rewritten; every stream continues byte-for-byte where its
-    /// durable prefix ended.
+    /// `salvaged.shard_keep[t]` — and positions the writer (inline lanes)
+    /// to append epoch `salvaged.committed()` onward. No preamble or
+    /// header frame is rewritten; every stream continues byte-for-byte
+    /// where its durable prefix ended.
     ///
     /// # Errors
     ///
     /// `InvalidInput` when the writer count disagrees with the salvage's
-    /// shard count or any shard stream was missing from the salvage
-    /// (resume needs all of them).
-    pub fn resume(writers: Vec<W>, batch: u32, salvaged: &ShardSalvaged) -> io::Result<Self> {
-        let keeps = Self::check_resume(writers.len(), salvaged)?;
-        Ok(ShardedJournalWriter {
-            lanes: writers
-                .into_iter()
-                .map(|w| Lane::Sync { w, pending: 0 })
-                .collect(),
+    /// shard count or any stream was missing from the salvage (resume
+    /// needs all of them).
+    pub fn resume(writers: Vec<W>, batch: u32, salvaged: &Salvaged) -> io::Result<Self> {
+        Self::open(writers, batch, Some(salvaged), |_, w, _| Ok(inline(w)))
+    }
+
+    /// The one constructor: validates the request, builds a lane per
+    /// writer with `lane`, and either writes every stream's preamble
+    /// (fresh journal) or positions after `from`'s merged prefix.
+    fn open(
+        writers: Vec<W>,
+        batch: u32,
+        from: Option<&Salvaged>,
+        mut lane: impl FnMut(usize, W, &LaneShared) -> io::Result<Lane<W>>,
+    ) -> io::Result<Self> {
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
+        if writers.is_empty() {
+            return Err(invalid("a journal needs at least one stream".into()));
+        }
+        let (epochs, written) = match from {
+            None => (0, 0),
+            Some(s) => {
+                if writers.len() != s.shard_count as usize {
+                    return Err(invalid(format!(
+                        "{} writers for a {}-shard journal",
+                        writers.len(),
+                        s.shard_count
+                    )));
+                }
+                let mut total = 0u64;
+                for (t, keep) in s.shard_keep.iter().enumerate() {
+                    let keep =
+                        keep.ok_or_else(|| invalid(format!("shard {t} stream is missing")))?;
+                    total += keep as u64;
+                }
+                (s.committed() as u32, total)
+            }
+        };
+        let shared = LaneShared {
             batch: batch.max(1),
-            epochs: salvaged.committed() as u32,
-            written: keeps,
             flushes: Arc::new(AtomicU64::new(0)),
             lane_err: Arc::new(Mutex::new(None)),
-        })
-    }
-
-    /// Validates a resume request and returns the prefix byte total.
-    fn check_resume(writers: usize, salvaged: &ShardSalvaged) -> io::Result<u64> {
-        if writers != salvaged.shard_count as usize {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "{writers} writers for a {}-shard journal",
-                    salvaged.shard_count
-                ),
-            ));
-        }
-        let mut total = 0u64;
-        for (t, keep) in salvaged.shard_keep.iter().enumerate() {
-            match keep {
-                Some(k) => total += *k as u64,
-                None => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!("shard {t} stream is missing; cannot resume"),
-                    ))
-                }
+        };
+        let lanes = writers
+            .into_iter()
+            .enumerate()
+            .map(|(shard, w)| lane(shard, w, &shared))
+            .collect::<io::Result<Vec<_>>>()?;
+        let mut this = ShardedJournalWriter {
+            lanes,
+            shared,
+            epochs,
+            written,
+        };
+        if from.is_none() {
+            let mut pre = Vec::with_capacity(8);
+            pre.extend_from_slice(&MAGIC);
+            pre.extend_from_slice(&VERSION.to_le_bytes());
+            for shard in 0..this.lanes.len() {
+                this.lane_write(shard, pre.clone(), 0, false)?;
             }
         }
-        Ok(total)
-    }
-
-    fn preamble(&mut self) -> io::Result<()> {
-        let mut pre = Vec::with_capacity(8);
-        pre.extend_from_slice(&SHARD_MAGIC);
-        pre.extend_from_slice(&SHARD_VERSION.to_le_bytes());
-        for shard in 0..self.lanes.len() {
-            self.lane_write(shard, pre.clone(), 0, false)?;
-        }
-        Ok(())
+        Ok(this)
     }
 
     /// Shard count.
@@ -253,7 +295,7 @@ impl<W: Write + Send> ShardedJournalWriter<W> {
         self.epochs
     }
 
-    /// Total bytes handed to shard streams (the write-overhead metric).
+    /// Total bytes handed to the streams (the write-overhead metric).
     pub fn bytes_written(&self) -> u64 {
         self.written
     }
@@ -262,7 +304,7 @@ impl<W: Write + Send> ShardedJournalWriter<W> {
     /// flushes race this read; the count is exact once the writer is
     /// consumed by [`into_writers`](ShardedJournalWriter::into_writers).
     pub fn flushes(&self) -> u64 {
-        self.flushes.load(Ordering::SeqCst)
+        self.shared.flushes.load(Ordering::SeqCst)
     }
 
     /// Appends `bytes` to `shard`, advancing the group-commit state by
@@ -276,13 +318,13 @@ impl<W: Write + Send> ShardedJournalWriter<W> {
     ) -> io::Result<()> {
         self.written += bytes.len() as u64;
         match &mut self.lanes[shard] {
-            Lane::Sync { w, pending } => {
+            Lane::Inline { w, pending } => {
                 w.write_all(&bytes)?;
                 *pending += ticks;
-                if force_flush || *pending >= self.batch {
+                if force_flush || *pending >= self.shared.batch {
                     w.flush()?;
                     *pending = 0;
-                    self.flushes.fetch_add(1, Ordering::SeqCst);
+                    self.shared.flushes.fetch_add(1, Ordering::SeqCst);
                 }
                 Ok(())
             }
@@ -296,69 +338,63 @@ impl<W: Write + Send> ShardedJournalWriter<W> {
         }
     }
 
-    /// The first asynchronous lane error, as an `io::Error`.
-    /// Appends one epoch from its serialized record bytes: in-order check,
-    /// shard assignment, dependency vector, EPOCH + COMMIT frames handed to
-    /// the lane atomically. Shared by both [`RecordSink`] entry points so
-    /// the commit rule is stated once.
-    fn epoch_record_bytes(&mut self, index: u32, record: &[u8]) -> io::Result<()> {
+    /// Appends one epoch: in-order check, shard assignment, then the
+    /// EPOCH frame (`put` serializes the record into it in place) and the
+    /// COMMIT frame, handed to the lane in one piece. Shared by both
+    /// [`RecordSink`] entry points so the commit rule is stated once.
+    fn append_epoch(&mut self, index: u32, put: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
         self.check_lanes()?;
-        // Same in-order contract as the single-stream writer: the shard
-        // assignment (and every dependency vector) is a function of the
-        // commit order, so an out-of-order epoch is a commit-stage bug.
+        // The RecordSink in-order contract: shard assignment is a function
+        // of the commit order, so an out-of-order epoch is a commit-stage
+        // bug and must surface here, not as an unreplayable journal.
         if index != self.epochs {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
-                    "out-of-order epoch {index} (sharded journal expects {})",
+                    "out-of-order epoch {index} (journal expects {})",
                     self.epochs
                 ),
             ));
         }
-        let shards = self.shard_count();
-        let shard = (index % shards) as usize;
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&index.to_le_bytes());
-        for dep in dep_vector(index, shards) {
-            payload.extend_from_slice(&dep.to_le_bytes());
-        }
-        payload.extend_from_slice(record);
-        let payload_crc = crc32(&payload);
-        let mut buf = frame_bytes(TAG_EPOCH, &payload);
+        let shard = (index % self.shard_count()) as usize;
+        let mut buf = vec![TAG_EPOCH, 0, 0, 0, 0];
+        buf.extend_from_slice(&index.to_le_bytes());
+        put(&mut buf);
+        let len = u32::try_from(buf.len() - FRAME_HEAD).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("epoch {index} of {} bytes exceeds u32", buf.len()),
+            )
+        })?;
+        buf[1..FRAME_HEAD].copy_from_slice(&len.to_le_bytes());
         let mut commit = [0u8; 8];
         commit[..4].copy_from_slice(&index.to_le_bytes());
-        commit[4..].copy_from_slice(&payload_crc.to_le_bytes());
-        buf.extend_from_slice(&frame_bytes(TAG_COMMIT, &commit));
+        commit[4..].copy_from_slice(&crc32(&buf[FRAME_HEAD..]).to_le_bytes());
+        let crc = crc32(&buf);
+        buf.extend_from_slice(&crc.to_le_bytes());
+        put_frame(&mut buf, TAG_COMMIT, &commit)?;
         // One hand-off per epoch: frame and commit marker appended
-        // atomically, flushed at the shard's group-commit boundary.
+        // together, flushed at the shard's group-commit boundary.
         self.lane_write(shard, buf, 1, false)?;
         self.epochs += 1;
         Ok(())
     }
 
     fn check_lanes(&self) -> io::Result<()> {
-        match self
-            .lane_err
-            .lock()
-            .expect("lane error slot poisoned")
-            .as_ref()
-        {
-            Some(msg) => Err(io::Error::other(format!("shard lane failed: {msg}"))),
-            None => Ok(()),
-        }
+        self.shared.check()
     }
 
-    /// Consumes the writer and returns the shard writers, joining lane
+    /// Consumes the writer and returns the stream writers, joining lane
     /// threads (threaded mode) so all buffered bytes are flushed first.
     ///
     /// # Errors
     ///
-    /// The first lane error, if any shard stream failed.
+    /// The first lane error, if any stream failed.
     pub fn into_writers(self) -> io::Result<Vec<W>> {
         let mut out = Vec::with_capacity(self.lanes.len());
         for lane in self.lanes {
             match lane {
-                Lane::Sync { w, .. } => out.push(w),
+                Lane::Inline { w, .. } => out.push(w),
                 Lane::Threaded { tx, handle } => {
                     drop(tx);
                     out.push(
@@ -369,20 +405,12 @@ impl<W: Write + Send> ShardedJournalWriter<W> {
                 }
             }
         }
-        match self
-            .lane_err
-            .lock()
-            .expect("lane error slot poisoned")
-            .take()
-        {
-            Some(msg) => Err(io::Error::other(format!("shard lane failed: {msg}"))),
-            None => Ok(out),
-        }
+        self.shared.check().map(|()| out)
     }
 }
 
 impl<W: Write + Send + 'static> ShardedJournalWriter<W> {
-    /// Like [`new`](ShardedJournalWriter::new), but each shard stream is
+    /// Like [`new`](ShardedJournalWriter::new), but each stream is
     /// appended by its own lane thread: [`RecordSink::epoch`] only
     /// serializes the frames and hands them off, so neither the append
     /// nor the group-commit flush ever stalls the commit stage. Lane
@@ -391,88 +419,53 @@ impl<W: Write + Send + 'static> ShardedJournalWriter<W> {
     ///
     /// # Errors
     ///
-    /// `InvalidInput` when `writers` is empty.
+    /// `InvalidInput` when `writers` is empty; a lane thread that cannot
+    /// be spawned.
     pub fn threaded(writers: Vec<W>, batch: u32) -> io::Result<Self> {
-        if writers.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "sharded journal needs at least one shard",
-            ));
-        }
-        let batch = batch.max(1);
-        let flushes = Arc::new(AtomicU64::new(0));
-        let lane_err = Arc::new(Mutex::new(None));
-        let lanes = writers
-            .into_iter()
-            .enumerate()
-            .map(|(shard, w)| {
-                let (tx, rx) = mpsc::channel::<LaneMsg>();
-                let flushes = Arc::clone(&flushes);
-                let lane_err = Arc::clone(&lane_err);
-                let handle = std::thread::Builder::new()
-                    .name(format!("dprs-lane-{shard}"))
-                    .spawn(move || lane_loop(w, &rx, batch, &flushes, &lane_err))
-                    .expect("spawn shard lane thread");
-                Lane::Threaded { tx, handle }
-            })
-            .collect();
-        let mut this = ShardedJournalWriter {
-            lanes,
-            batch,
-            epochs: 0,
-            written: 0,
-            flushes,
-            lane_err,
-        };
-        this.preamble()?;
-        Ok(this)
-    }
-
-    /// Like [`resume`](ShardedJournalWriter::resume), but with one lane
-    /// thread per shard stream (the threaded-mode counterpart).
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`resume`](ShardedJournalWriter::resume).
-    pub fn resume_threaded(
-        writers: Vec<W>,
-        batch: u32,
-        salvaged: &ShardSalvaged,
-    ) -> io::Result<Self> {
-        let keeps = Self::check_resume(writers.len(), salvaged)?;
-        let batch = batch.max(1);
-        let flushes = Arc::new(AtomicU64::new(0));
-        let lane_err = Arc::new(Mutex::new(None));
-        let lanes = writers
-            .into_iter()
-            .enumerate()
-            .map(|(shard, w)| {
-                let (tx, rx) = mpsc::channel::<LaneMsg>();
-                let flushes = Arc::clone(&flushes);
-                let lane_err = Arc::clone(&lane_err);
-                let handle = std::thread::Builder::new()
-                    .name(format!("dprs-lane-{shard}"))
-                    .spawn(move || lane_loop(w, &rx, batch, &flushes, &lane_err))
-                    .expect("spawn shard lane thread");
-                Lane::Threaded { tx, handle }
-            })
-            .collect();
-        Ok(ShardedJournalWriter {
-            lanes,
-            batch,
-            epochs: salvaged.committed() as u32,
-            written: keeps,
-            flushes,
-            lane_err,
+        Self::open(writers, batch, None, |shard, w, shared| {
+            let (tx, rx) = mpsc::channel::<LaneMsg>();
+            let batch = shared.batch;
+            let flushes = Arc::clone(&shared.flushes);
+            let lane_err = Arc::clone(&shared.lane_err);
+            let handle = std::thread::Builder::new()
+                .name(format!("dprs-lane-{shard}"))
+                .spawn(move || lane_loop(w, &rx, batch, &flushes, &lane_err))?;
+            Ok(Lane::Threaded { tx, handle })
         })
     }
+}
+
+/// State every lane of one writer shares.
+struct LaneShared {
+    /// Group-commit size: epoch commits per stream between flushes.
+    batch: u32,
+    /// Flushes issued across all lanes (the E15 amortization metric).
+    flushes: Arc<AtomicU64>,
+    /// First error observed by a lane thread, surfaced on the next call.
+    lane_err: Arc<Mutex<Option<String>>>,
+}
+
+impl LaneShared {
+    /// The first error a lane thread parked, as an `io::Error`.
+    fn check(&self) -> io::Result<()> {
+        match self.lane_err.lock() {
+            Ok(slot) => slot.as_ref().map_or(Ok(()), |msg| {
+                Err(io::Error::other(format!("shard lane failed: {msg}")))
+            }),
+            Err(_) => Err(io::Error::other("shard lane error slot poisoned")),
+        }
+    }
+}
+
+fn inline<W>(w: W) -> Lane<W> {
+    Lane::Inline { w, pending: 0 }
 }
 
 /// Lane-thread body: append, count commits, group-commit flush. On error
 /// the lane parks the message in the shared slot and keeps draining (the
 /// writer surfaces it on its next call); the writer is always returned so
 /// callers can inspect whatever bytes it holds.
-fn lane_loop<W: Write + Send>(
+fn lane_loop<W: Write>(
     mut w: W,
     rx: &mpsc::Receiver<LaneMsg>,
     batch: u32,
@@ -496,15 +489,17 @@ fn lane_loop<W: Write + Send>(
             Ok(())
         })();
         if let Err(e) = r {
-            let mut slot = lane_err.lock().expect("lane error slot poisoned");
-            slot.get_or_insert_with(|| e.to_string());
+            // A poisoned slot already reports a failure to the writer.
+            if let Ok(mut slot) = lane_err.lock() {
+                slot.get_or_insert_with(|| e.to_string());
+            }
             dead = true;
         }
     }
     w
 }
 
-impl<W: Write + Send> RecordSink for ShardedJournalWriter<W> {
+impl<W: Write> RecordSink for ShardedJournalWriter<W> {
     fn begin(&mut self, meta: &RecordingMeta, initial: &CheckpointImage) -> io::Result<()> {
         self.check_lanes()?;
         let shards = self.shard_count();
@@ -520,30 +515,26 @@ impl<W: Write + Send> RecordSink for ShardedJournalWriter<W> {
                 meta.put(&mut payload);
                 initial.put(&mut payload);
             }
-            // The shard header is a durability point: a stream whose
-            // header never reached the device contributes nothing.
-            self.lane_write(shard as usize, frame_bytes(TAG_SHARD, &payload), 0, true)?;
+            // The header is a durability point: a stream whose header
+            // never reached the device contributes nothing.
+            self.lane_write(shard as usize, frame(TAG_HEADER, &payload)?, 0, true)?;
         }
         Ok(())
     }
 
     fn epoch(&mut self, epoch: &EpochRecord) -> io::Result<()> {
-        let mut record = Vec::new();
-        epoch.put(&mut record);
-        self.epoch_record_bytes(epoch.index, &record)
+        self.append_epoch(epoch.index, |out| epoch.put(out))
     }
 
     fn epoch_encoded(&mut self, epoch: &EpochRecord, logs: &EncodedLogs) -> io::Result<()> {
-        let mut record = Vec::new();
-        epoch.put_with(logs, &mut record);
-        self.epoch_record_bytes(epoch.index, &record)
+        self.append_epoch(epoch.index, |out| epoch.put_with(logs, out))
     }
 
     fn finish(&mut self) -> io::Result<()> {
         self.check_lanes()?;
-        let final_frame = frame_bytes(TAG_FINAL, &self.epochs.to_le_bytes());
+        let final_frame = frame(TAG_FINAL, &self.epochs.to_le_bytes())?;
         for shard in 0..self.lanes.len() {
-            // Force-flush: finish drains every shard's group-commit
+            // Force-flush: finish drains every stream's group-commit
             // buffer, so a clean run is fully durable.
             self.lane_write(shard, final_frame.clone(), 0, true)?;
         }
@@ -551,71 +542,76 @@ impl<W: Write + Send> RecordSink for ShardedJournalWriter<W> {
     }
 }
 
-/// What one shard stream's salvage scan recovered.
+/// What one stream's salvage scan recovered.
 struct ShardScan {
     shard: u32,
     shards: u32,
     program_hash: u64,
     initial_hash: u64,
     header: Option<(RecordingMeta, CheckpointImage)>,
-    /// Committed epochs in stream order: (global index, dep vector, record).
-    epochs: Vec<(u32, Vec<u32>, EpochRecord)>,
+    /// Committed epochs in stream order.
+    epochs: Vec<EpochRecord>,
     /// Per committed epoch, the stream offset just past its COMMIT frame
     /// (parallel to `epochs`) — the candidate truncation points for
     /// append-reopen.
     commit_ends: Vec<usize>,
-    /// Stream offset just past the shard header frame.
+    /// Stream offset just past the header frame.
     header_end: usize,
     final_count: Option<u32>,
     salvaged_bytes: usize,
     dropped_bytes: usize,
 }
 
-/// Scans one shard stream, applying the per-shard commit rule. Errors are
-/// `ReplayError::UnsupportedVersion` for a foreign format version and
-/// `ReplayError::Corrupt` only when the stream is unusable outright (bad
-/// magic, torn shard header) — a torn tail just ends the scan.
+/// Scans one stream, applying the per-stream commit rule. Errors are
+/// [`ReplayError::UnsupportedVersion`] for a foreign format version or a
+/// retired container, and [`ReplayError::Corrupt`] only when the stream
+/// is unusable outright (bad magic, torn header) — a torn tail just ends
+/// the scan.
 fn scan_shard(buf: &[u8]) -> Result<ShardScan, ReplayError> {
     let corrupt = |detail: String| ReplayError::Corrupt { detail };
     if buf.len() < 8 {
         return Err(corrupt(format!(
-            "shard too short to be a journal ({} bytes)",
+            "too short to be a recording stream ({} bytes)",
             buf.len()
         )));
     }
-    if buf[..4] != SHARD_MAGIC {
-        return Err(corrupt(format!("bad shard magic {:02x?}", &buf[..4])));
-    }
-    let version = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-    if version != SHARD_VERSION {
+    let found = u32_at(buf, 4);
+    if let Some((_, container)) = RETIRED.iter().find(|(m, _)| buf[..4] == *m) {
         return Err(ReplayError::UnsupportedVersion {
-            container: "journal shard",
-            found: version,
-            expected: SHARD_VERSION,
+            container,
+            found,
+            expected: VERSION,
+        });
+    }
+    if buf[..4] != MAGIC {
+        return Err(corrupt(format!("bad stream magic {:02x?}", &buf[..4])));
+    }
+    if found != VERSION {
+        return Err(ReplayError::UnsupportedVersion {
+            container: "recording stream",
+            found,
+            expected: VERSION,
         });
     }
     let head = read_frame(buf, 8)
-        .filter(|f| f.tag == TAG_SHARD && f.payload.len() >= 25)
-        .ok_or_else(|| corrupt("shard header frame missing or torn".into()))?;
-    let shard = u32::from_le_bytes(head.payload[0..4].try_into().unwrap());
-    let shards = u32::from_le_bytes(head.payload[4..8].try_into().unwrap());
-    let program_hash = u64::from_le_bytes(head.payload[8..16].try_into().unwrap());
-    let initial_hash = u64::from_le_bytes(head.payload[16..24].try_into().unwrap());
+        .filter(|f| f.tag == TAG_HEADER && f.payload.len() >= HEADER_FIXED)
+        .ok_or_else(|| corrupt("stream header frame missing or torn".into()))?;
+    let p = head.payload;
+    let (shard, shards) = (u32_at(p, 0), u32_at(p, 4));
     if shards == 0 || shard >= shards {
         return Err(corrupt(format!(
-            "shard header names shard {shard} of {shards}"
+            "stream header names shard {shard} of {shards}"
         )));
     }
-    let full = head.payload[24] == 1;
-    let header = if full {
-        let mut r = Reader::new(&head.payload[25..]);
+    let header = if p[24] == 1 {
+        let mut r = Reader::new(&p[HEADER_FIXED..]);
         let meta = RecordingMeta::get(&mut r)
-            .map_err(|e| corrupt(format!("shard header meta undecodable: {e}")))?;
+            .map_err(|e| corrupt(format!("stream header meta undecodable: {e}")))?;
         let initial = CheckpointImage::get(&mut r)
-            .map_err(|e| corrupt(format!("shard header checkpoint undecodable: {e}")))?;
+            .map_err(|e| corrupt(format!("stream header checkpoint undecodable: {e}")))?;
         if !r.is_empty() {
             return Err(corrupt(format!(
-                "{} trailing bytes inside shard header frame",
+                "{} trailing bytes inside stream header frame",
                 r.remaining()
             )));
         }
@@ -624,54 +620,39 @@ fn scan_shard(buf: &[u8]) -> Result<ShardScan, ReplayError> {
         None
     };
 
-    let dep_len = 4usize * shards as usize;
-    let mut epochs: Vec<(u32, Vec<u32>, EpochRecord)> = Vec::new();
+    let mut epochs: Vec<EpochRecord> = Vec::new();
     let mut commit_ends: Vec<usize> = Vec::new();
     let mut final_count = None;
-    let header_end = head.end;
     let mut pos = head.end;
     while let Some(frame) = read_frame(buf, pos) {
         match frame.tag {
-            TAG_EPOCH => {
-                if frame.payload.len() < 4 + dep_len {
-                    break; // shorter than its own dependency vector: torn
-                }
-                let index = u32::from_le_bytes(frame.payload[0..4].try_into().unwrap());
-                let deps: Vec<u32> = (0..shards as usize)
-                    .map(|t| {
-                        u32::from_le_bytes(frame.payload[4 + 4 * t..8 + 4 * t].try_into().unwrap())
-                    })
-                    .collect();
-                let Ok(epoch) =
-                    dp_support::wire::from_bytes::<EpochRecord>(&frame.payload[4 + dep_len..])
+            TAG_EPOCH if frame.payload.len() >= 4 => {
+                let index = u32_at(frame.payload, 0);
+                let Ok(epoch) = dp_support::wire::from_bytes::<EpochRecord>(&frame.payload[4..])
                 else {
                     break;
                 };
-                // Stamp, payload, and stream order must agree: the stamp
-                // names this shard's stream, the record names itself, and
-                // epochs are appended in global commit order.
-                if epoch.index != index
-                    || index % shards != shard
-                    || epochs.last().is_some_and(|(last, _, _)| index <= *last)
-                {
+                // Stamp, record, and placement must agree: this stream
+                // holds epochs shard, shard + N, shard + 2N, … in order.
+                if epoch.index != index || index != shard + epochs.len() as u32 * shards {
                     break;
                 }
                 let payload_crc = crc32(frame.payload);
                 let Some(commit) = read_frame(buf, frame.end).filter(|c| {
                     c.tag == TAG_COMMIT
                         && c.payload.len() == 8
-                        && c.payload[..4] == index.to_le_bytes()
-                        && c.payload[4..] == payload_crc.to_le_bytes()
+                        && u32_at(c.payload, 0) == index
+                        && u32_at(c.payload, 4) == payload_crc
                 }) else {
                     break;
                 };
-                epochs.push((index, deps, epoch));
+                epochs.push(epoch);
                 commit_ends.push(commit.end);
                 pos = commit.end;
             }
             TAG_FINAL => {
                 if frame.payload.len() == 4 {
-                    final_count = Some(u32::from_le_bytes(frame.payload.try_into().unwrap()));
+                    final_count = Some(u32_at(frame.payload, 0));
                 }
                 pos = frame.end;
                 break;
@@ -682,87 +663,112 @@ fn scan_shard(buf: &[u8]) -> Result<ShardScan, ReplayError> {
     Ok(ShardScan {
         shard,
         shards,
-        program_hash,
-        initial_hash,
+        program_hash: u64_at(p, 8),
+        initial_hash: u64_at(p, 16),
         header,
         epochs,
         commit_ends,
-        header_end,
+        header_end: head.end,
         final_count,
         salvaged_bytes: pos,
         dropped_bytes: buf.len() - pos,
     })
 }
 
-/// What a cross-shard salvage recovered.
+/// What a salvage scan recovered from a recording's streams.
 #[derive(Debug)]
-pub struct ShardSalvaged {
-    /// The merged recording: header plus the longest dependency-closed
-    /// committed epoch prefix, byte-identical (when saved) to the
-    /// sequential driver's output over the same prefix.
+pub struct Salvaged {
+    /// The merged recording: header plus the longest committed epoch
+    /// prefix, byte-identical (when saved) to the sequential driver's
+    /// output over the same prefix. Always valid and replayable (possibly
+    /// zero epochs).
     pub recording: Recording,
-    /// True when every shard is present, finalized with the same epoch
+    /// True when every stream is present, finalized with the same epoch
     /// count, and the whole run merged — nothing was lost.
     pub clean: bool,
     /// Shard count the streams declare.
     pub shard_count: u32,
-    /// Bytes consumed as valid frames, summed over shards.
+    /// Bytes consumed as valid frames, summed over streams.
     pub salvaged_bytes: usize,
-    /// Trailing bytes dropped, summed over shards.
+    /// Trailing bytes dropped (torn frame, uncommitted epoch, garbage),
+    /// summed over streams.
     pub dropped_bytes: usize,
-    /// Epochs durable in some shard but outside the consistent prefix
-    /// (their dependencies died in a sibling shard).
+    /// Epochs durable in some stream but outside the merged prefix (an
+    /// earlier epoch died in a sibling stream).
     pub dropped_epochs: usize,
-    /// Per shard, the byte offset to truncate that stream to for
-    /// append-reopen resume: just past the COMMIT frame of the shard's
-    /// last epoch *inside the merged prefix* (the shard header's end when
-    /// the prefix assigned it no epochs). `None` for a shard whose stream
-    /// was missing or unusable — resume needs every stream, so any `None`
-    /// forbids it.
+    /// Per stream, the byte offset to truncate it to for append-reopen
+    /// resume: just past the COMMIT frame of the stream's last epoch
+    /// *inside the merged prefix* (the header's end when the prefix
+    /// assigned it no epochs). Everything past it — a torn frame, an
+    /// uncommitted epoch, even a bogus FINAL marker — is tail to drop.
+    /// `None` for a stream that was missing or unusable — resume needs
+    /// every stream, so any `None` forbids it.
     pub shard_keep: Vec<Option<usize>>,
     /// Why the merge stopped, for operator-facing reporting.
     pub detail: String,
 }
 
-impl ShardSalvaged {
-    /// Epochs recovered into the consistent prefix.
+impl Salvaged {
+    /// Epochs recovered into the merged prefix.
     pub fn committed(&self) -> usize {
         self.recording.epochs.len()
     }
 }
 
+/// Parses recording streams, including ones a crash left behind.
+pub struct JournalReader;
+
 impl JournalReader {
-    /// Merges a set of `DPRS` shard streams back into a [`Recording`]:
-    /// salvages each shard independently (commit rule per stream), then
-    /// takes the longest epoch prefix in which every epoch is durable in
-    /// its shard *and* its dependency vector is covered by its siblings'
-    /// durable commits — the longest consistent cross-shard prefix.
+    /// Salvages a single-stream recording: [`salvage_shards`] over one
+    /// buffer. Works on intact recordings (`clean == true` when
+    /// finalized) and on any crash-truncated or tail-corrupted prefix.
+    ///
+    /// # Errors
+    ///
+    /// As [`salvage_shards`].
+    ///
+    /// [`salvage_shards`]: JournalReader::salvage_shards
+    pub fn salvage(buf: &[u8]) -> Result<Salvaged, ReplayError> {
+        Self::salvage_shards(&[buf])
+    }
+
+    /// Merges a recording's streams back into a [`Recording`]: salvages
+    /// each stream independently (commit rule per stream), then takes the
+    /// longest epoch prefix every epoch of which is committed in its
+    /// stream — the longest consistent cross-shard prefix.
     ///
     /// `bufs` may arrive in any order (streams carry their own shard
-    /// index); a missing or individually unsalvageable shard simply
+    /// index); a missing or individually unsalvageable stream simply
     /// bounds the prefix at its first assigned epoch.
     ///
     /// # Errors
     ///
-    /// [`ReplayError::Corrupt`] only when nothing is reconstructible: no
-    /// usable stream, conflicting shard sets, or the full-header shard
-    /// (index 0) lost — without meta and the initial checkpoint there is
-    /// no valid `Recording` to build. Never panics, whatever the input.
-    pub fn salvage_shards(bufs: &[Vec<u8>]) -> Result<ShardSalvaged, ReplayError> {
+    /// [`ReplayError::UnsupportedVersion`] when no stream is usable and
+    /// one was written by a different format version (including the
+    /// retired `DPRC` and `DPRJ` containers); [`ReplayError::Corrupt`]
+    /// when nothing else is reconstructible: no usable stream,
+    /// conflicting shard sets, or shard 0 (the full header) lost —
+    /// without meta and the initial checkpoint there is no valid
+    /// `Recording` to build. Never panics, whatever the input.
+    pub fn salvage_shards<B: AsRef<[u8]>>(bufs: &[B]) -> Result<Salvaged, ReplayError> {
         let corrupt = |detail: String| ReplayError::Corrupt { detail };
         let mut scans: Vec<ShardScan> = Vec::new();
-        let mut scan_failures: Vec<String> = Vec::new();
-        for (i, buf) in bufs.iter().enumerate() {
-            match scan_shard(buf) {
+        let mut failures: Vec<ReplayError> = Vec::new();
+        for buf in bufs {
+            match scan_shard(buf.as_ref()) {
                 Ok(s) => scans.push(s),
-                Err(e) => scan_failures.push(format!("stream {i}: {e}")),
+                Err(e) => failures.push(e),
             }
         }
         let Some(first) = scans.first() else {
-            return Err(corrupt(format!(
-                "no usable shard stream ({})",
-                scan_failures.join("; ")
-            )));
+            if let Some(i) = failures
+                .iter()
+                .position(|e| matches!(e, ReplayError::UnsupportedVersion { .. }))
+            {
+                return Err(failures.swap_remove(i));
+            }
+            let why: Vec<String> = failures.iter().map(ToString::to_string).collect();
+            return Err(corrupt(format!("no usable stream ({})", why.join("; "))));
         };
         let shards = first.shards;
         for s in &scans {
@@ -791,45 +797,33 @@ impl JournalReader {
         let (meta, initial) = by_shard[0]
             .as_mut()
             .and_then(|s| s.header.take())
-            .ok_or_else(|| {
-                corrupt("shard 0 (the full-header stream) is missing or headerless".into())
-            })?;
+            .ok_or_else(|| corrupt("shard 0 (the full-header stream) is missing".into()))?;
 
-        let salvaged_bytes: usize = by_shard.iter().flatten().map(|s| s.salvaged_bytes).sum();
-        let dropped_bytes: usize = by_shard.iter().flatten().map(|s| s.dropped_bytes).sum();
-        let durable: Vec<usize> = by_shard
-            .iter()
-            .map(|s| s.as_ref().map_or(0, |s| s.epochs.len()))
-            .collect();
-        let total_durable: usize = durable.iter().sum();
+        let present = by_shard.iter().flatten();
+        let salvaged_bytes: usize = present.clone().map(|s| s.salvaged_bytes).sum();
+        let dropped_bytes: usize = present.clone().map(|s| s.dropped_bytes).sum();
+        let total_durable: usize = present.map(|s| s.epochs.len()).sum();
 
-        // The merge walk: epoch i must be the next durable epoch of shard
-        // i mod N (streams are in commit order) with a satisfied
-        // dependency vector.
-        let mut epochs: Vec<EpochRecord> = Vec::new();
+        // The merge walk: epoch i is the next committed epoch of stream
+        // i mod N (each stream holds its epochs in index order).
         let mut taken: Vec<usize> = vec![0; shards as usize];
+        let mut streams: Vec<Option<std::vec::IntoIter<EpochRecord>>> = by_shard
+            .iter_mut()
+            .map(|s| {
+                s.as_mut()
+                    .map(|s| std::mem::take(&mut s.epochs).into_iter())
+            })
+            .collect();
+        let mut epochs: Vec<EpochRecord> = Vec::new();
         let detail = loop {
-            let i = epochs.len() as u32;
-            let t = (i % shards) as usize;
-            let Some(scan) = by_shard[t].as_ref() else {
+            let i = epochs.len();
+            let t = i % shards as usize;
+            let Some(stream) = streams[t].as_mut() else {
                 break format!("epoch {i}: shard {t} stream is missing");
             };
-            let Some((index, deps, _)) = scan.epochs.get(taken[t]) else {
-                break format!("epoch {i} not durable in shard {t}");
+            let Some(record) = stream.next() else {
+                break format!("epoch {i} not committed in shard {t}");
             };
-            if *index != i {
-                break format!(
-                    "epoch {i} not durable in shard {t} (next durable there is {index})"
-                );
-            }
-            if let Some(short) = (0..shards as usize).find(|&u| deps[u] as usize > durable[u]) {
-                break format!(
-                    "epoch {i} depends on {} epoch(s) of shard {short}, only {} durable",
-                    deps[short], durable[short]
-                );
-            }
-            let (_, _, record) =
-                by_shard[t].as_mut().expect("checked above").epochs[taken[t]].clone();
             taken[t] += 1;
             epochs.push(record);
             if epochs.len() == u32::MAX as usize {
@@ -838,36 +832,22 @@ impl JournalReader {
         };
 
         let merged = epochs.len();
-        // Truncation points: each present shard keeps exactly the commits
-        // the merged prefix consumed from it; epochs durable beyond the
-        // prefix are tail (their siblings lost the dependencies).
+        // Truncation points: each present stream keeps exactly the commits
+        // the merged prefix consumed from it.
         let shard_keep: Vec<Option<usize>> = by_shard
             .iter()
-            .enumerate()
-            .map(|(t, s)| {
-                s.as_ref().map(|s| {
-                    if taken[t] == 0 {
-                        s.header_end
-                    } else {
-                        s.commit_ends[taken[t] - 1]
-                    }
-                })
+            .zip(&taken)
+            .map(|(s, &n)| {
+                s.as_ref()
+                    .map(|s| n.checked_sub(1).map_or(s.header_end, |k| s.commit_ends[k]))
             })
             .collect();
-        let finals: Vec<Option<u32>> = by_shard
-            .iter()
-            .map(|s| s.as_ref().and_then(|s| s.final_count))
-            .collect();
-        let clean = scan_failures.is_empty()
-            && by_shard.iter().all(Option::is_some)
-            && finals.iter().all(|f| *f == Some(merged as u32))
-            && total_durable == merged;
-        let detail = if clean {
-            "clean completion".to_string()
-        } else {
-            detail
-        };
-        Ok(ShardSalvaged {
+        let clean = failures.is_empty()
+            && total_durable == merged
+            && by_shard
+                .iter()
+                .all(|s| s.as_ref().and_then(|s| s.final_count) == Some(merged as u32));
+        Ok(Salvaged {
             recording: Recording {
                 meta,
                 initial,
@@ -879,11 +859,14 @@ impl JournalReader {
             dropped_bytes,
             dropped_epochs: total_durable - merged,
             shard_keep,
-            detail,
+            detail: if clean {
+                "clean completion".to_string()
+            } else {
+                detail
+            },
         })
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -892,26 +875,7 @@ mod tests {
     use crate::record::coordinator::record_to;
     use crate::record::testutil::{atomic_counter_spec, racy_counter_spec};
 
-    #[test]
-    fn dep_vectors_count_round_robin_predecessors() {
-        assert_eq!(dep_vector(0, 3), vec![0, 0, 0]);
-        assert_eq!(dep_vector(1, 3), vec![1, 0, 0]);
-        assert_eq!(dep_vector(5, 3), vec![2, 2, 1]);
-        assert_eq!(dep_vector(6, 3), vec![2, 2, 2]);
-        assert_eq!(dep_vector(7, 1), vec![7]);
-        // Entry t counts exactly the epochs < i assigned to shard t.
-        for shards in 1..6u32 {
-            for i in 0..40u32 {
-                let v = dep_vector(i, shards);
-                for t in 0..shards {
-                    let expect = (0..i).filter(|j| j % shards == t).count() as u32;
-                    assert_eq!(v[t as usize], expect, "i={i} shards={shards} t={t}");
-                }
-            }
-        }
-    }
-
-    /// Records `spec` through a sync sharded writer and returns the shard
+    /// Records `spec` through an inline sharded writer and returns the shard
     /// streams plus, per epoch, its shard and that shard's stream length
     /// right after the epoch's hand-off (the per-shard commit offsets —
     /// group commit makes no difference to a byte-granular store).
@@ -933,8 +897,8 @@ mod tests {
                 let shard = (e.index % self.w.shard_count()) as usize;
                 self.w.epoch(e)?;
                 let len = match &self.w.lanes[shard] {
-                    Lane::Sync { w, .. } => w.len() as u64,
-                    Lane::Threaded { .. } => unreachable!("sync tap"),
+                    Lane::Inline { w, .. } => w.len() as u64,
+                    Lane::Threaded { .. } => unreachable!("inline tap"),
                 };
                 self.offsets.push((shard, len));
                 Ok(())
@@ -1020,10 +984,10 @@ mod tests {
         }
     }
 
-    /// Crash sweep: cutting every shard-0 prefix (with siblings intact or
-    /// also cut) always yields exactly the dependency-closed prefix.
+    /// Crash sweep: cutting every shard's stream after each of its commits
+    /// (siblings intact) always yields exactly the consistent prefix.
     #[test]
-    fn every_shard_prefix_merges_to_the_dependency_closed_prefix() {
+    fn every_shard_prefix_merges_to_the_consistent_prefix() {
         let spec = atomic_counter_spec(4_000, 2);
         let config = DoublePlayConfig::new(2).epoch_cycles(1_500);
         let shards = 3u32;
@@ -1086,13 +1050,13 @@ mod tests {
         let committed = salvaged.committed();
         assert!(committed < full.committed());
         assert!(salvaged.dropped_epochs > 0);
-        let truncate_to_keep = |salv: &ShardSalvaged| -> Vec<Vec<u8>> {
+        let truncate_to_keep = |salv: &Salvaged| -> Vec<Vec<u8>> {
             torn.iter()
                 .enumerate()
                 .map(|(t, s)| s[..salv.shard_keep[t].unwrap()].to_vec())
                 .collect()
         };
-        // Sync resume: truncate each stream to its keep point, append the
+        // Resume: truncate each stream to its keep point, append the
         // missing tail, finish — byte-identical to the uninterrupted run.
         let mut w =
             ShardedJournalWriter::resume(truncate_to_keep(&salvaged), 2, &salvaged).unwrap();
@@ -1102,10 +1066,9 @@ mod tests {
         }
         w.finish().unwrap();
         assert_eq!(w.into_writers().unwrap(), full_streams);
-        // Threaded resume produces the same bytes.
+        // The batch size changes flush timing, never bytes.
         let mut w =
-            ShardedJournalWriter::resume_threaded(truncate_to_keep(&salvaged), 4, &salvaged)
-                .unwrap();
+            ShardedJournalWriter::resume(truncate_to_keep(&salvaged), 4, &salvaged).unwrap();
         for e in &full.recording.epochs[committed..] {
             w.epoch(e).unwrap();
         }
@@ -1199,9 +1162,9 @@ mod tests {
         let spec = atomic_counter_spec(800, 2);
         let config = DoublePlayConfig::new(2).epoch_cycles(2_000);
         let (streams, _) = sharded_solo(&spec, &config, 2, 4);
-        // Empty set, garbage, and single-stream DPRJ bytes are all typed.
+        // Empty set and garbage are typed.
         assert!(matches!(
-            JournalReader::salvage_shards(&[]),
+            JournalReader::salvage_shards::<Vec<u8>>(&[]),
             Err(ReplayError::Corrupt { .. })
         ));
         assert!(matches!(
@@ -1251,5 +1214,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The one-container identity: for the same run, under either driver,
+    /// `Recording::save` equals the `JournalWriter` journal, which equals
+    /// a 1-shard `ShardedJournalWriter` stream (inline or threaded), byte
+    /// for byte.
+    #[test]
+    fn save_journal_and_one_shard_stream_are_byte_identical() {
+        let spec = racy_counter_spec(2_000);
+        let base = DoublePlayConfig::new(2)
+            .epoch_cycles(6_000)
+            .spare_workers(2);
+        let mut reference: Option<Vec<u8>> = None;
+        for pipelined in [false, true] {
+            let config = base.pipelined(pipelined);
+            let mut journal = JournalWriter::new(Vec::new()).unwrap();
+            let bundle = record_to(&spec, &config, &mut journal).unwrap();
+            let journal = journal.into_inner();
+            let mut saved = Vec::new();
+            bundle.recording.save(&mut saved).unwrap();
+            let mut inline = ShardedJournalWriter::new(vec![Vec::new()], 1).unwrap();
+            record_to(&spec, &config, &mut inline).unwrap();
+            let mut threaded =
+                ShardedJournalWriter::threaded(vec![Vec::new()], DEFAULT_SHARD_BATCH).unwrap();
+            record_to(&spec, &config, &mut threaded).unwrap();
+            assert_eq!(saved, journal, "pipelined={pipelined}: save vs journal");
+            assert_eq!(inline.into_writers().unwrap(), vec![journal.clone()]);
+            assert_eq!(threaded.into_writers().unwrap(), vec![journal.clone()]);
+            assert_eq!(
+                Recording::load(&journal[..]).unwrap().epochs.len(),
+                bundle.recording.epochs.len()
+            );
+            match &reference {
+                None => reference = Some(journal),
+                Some(r) => assert_eq!(r, &journal, "pipelined driver changed the bytes"),
+            }
+        }
+    }
+
+    #[test]
+    fn poisoned_lane_error_slot_is_a_typed_error() {
+        let mut w = ShardedJournalWriter::new(vec![Vec::<u8>::new(); 2], 4).unwrap();
+        let slot = Arc::clone(&w.shared.lane_err);
+        let _ = std::thread::spawn(move || {
+            let _guard = slot.lock();
+            panic!("poison the lane error slot");
+        })
+        .join();
+        let rec = crate::record(&atomic_counter_spec(100, 1), &DoublePlayConfig::new(1))
+            .unwrap()
+            .recording;
+        let err = w.begin(&rec.meta, &rec.initial).unwrap_err();
+        assert!(err.to_string().contains("poisoned"), "{err}");
+        assert!(w.into_writers().is_err());
     }
 }

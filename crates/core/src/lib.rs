@@ -57,8 +57,8 @@
 //! | multithreaded recording on real spare cores | [`record::pipelined`] |
 //! | offline replay (sequential / parallel / to-point) | [`replay`] |
 //! | the recording artifact | [`recording`] |
-//! | crash-consistent streaming journal & salvage | [`journal`] |
-//! | sharded parallel journaling & cross-shard merge | [`journal_shards`] |
+//! | streaming sinks & the single-stream journal | [`journal`] |
+//! | the recording container: parallel streams, salvage & merge | [`journal_shards`] |
 
 #![warn(missing_docs)]
 
@@ -80,8 +80,10 @@ pub use checkpoint::{Checkpoint, CheckpointImage, EpochTargets, ThreadTarget};
 pub use config::{validate_worker_counts, ConfigError, DoublePlayConfig, MAX_SPARE_WORKERS};
 pub use error::{RecordError, ReplayError, ResumeError, SaveError};
 pub use faults::FaultPlan;
-pub use journal::{JournalReader, JournalWriter, NullSink, RecordSink, Salvaged};
-pub use journal_shards::{ShardSalvaged, ShardedJournalWriter, DEFAULT_SHARD_BATCH, SHARD_MAGIC};
+pub use journal::{JournalWriter, NullSink, RecordSink};
+pub use journal_shards::{
+    group_commit, JournalReader, Salvaged, ShardedJournalWriter, DEFAULT_SHARD_BATCH,
+};
 pub use observe::{replay_observed, ReplayEvent, ReplayObserver};
 pub use record::coordinator::{measure_native, record, record_to, RecordingBundle};
 pub use record::epoch_parallel::Divergence;

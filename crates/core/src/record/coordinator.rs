@@ -883,7 +883,8 @@ pub fn measure_native(spec: &GuestSpec, config: &DoublePlayConfig) -> Result<u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{JournalReader, JournalWriter};
+    use crate::journal::JournalWriter;
+    use crate::journal_shards::JournalReader;
     use crate::record::testutil::{atomic_counter_spec, compute_counter_spec, racy_counter_spec};
     use dp_os::FaultedSink;
 

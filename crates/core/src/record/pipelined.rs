@@ -470,7 +470,7 @@ mod tests {
         let pip = record_to(&spec, &config, &mut sharded).unwrap();
         assert_eq!(seq.stats, pip.stats);
         let streams = sharded.into_writers().unwrap();
-        let merged = crate::journal::JournalReader::salvage_shards(&streams).unwrap();
+        let merged = crate::journal_shards::JournalReader::salvage_shards(&streams).unwrap();
         assert!(merged.clean, "detail: {}", merged.detail);
         let mut seq_bytes = Vec::new();
         let mut merged_bytes = Vec::new();

@@ -53,14 +53,11 @@ use std::time::Instant;
 /// `sink` under the normal pipelined/sequential coordinator.
 ///
 /// `sink` must already hold the salvaged prefix — a
-/// [`crate::JournalWriter::resume`]/[`resume_after`] or
 /// [`crate::ShardedJournalWriter::resume`] writer positioned at the
 /// truncation point. `resume_from` never calls [`RecordSink::begin`]:
 /// the journal header the crashed incarnation wrote stays as-is, and the
 /// appended epochs extend it byte-for-byte as an uninterrupted run would
 /// have.
-///
-/// [`resume_after`]: crate::JournalWriter::resume_after
 ///
 /// # Errors
 ///

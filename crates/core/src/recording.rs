@@ -10,10 +10,11 @@ use std::io::{Read, Write};
 use crate::checkpoint::CheckpointImage;
 use crate::config::DoublePlayConfig;
 use crate::error::{ReplayError, SaveError};
+use crate::journal::{JournalWriter, RecordSink};
+use crate::journal_shards::JournalReader;
 use crate::logs::{codec, ScheduleLog, SyscallLog};
 use dp_os::kernel::ExternalChunk;
-use dp_support::crc32::crc32;
-use dp_support::wire::{from_bytes, to_bytes, Wire};
+use dp_support::wire::Wire;
 
 /// Identity and configuration of a recording.
 #[derive(Debug, Clone)]
@@ -156,149 +157,60 @@ impl Recording {
         self.epochs.iter().all(|e| e.start.is_some())
     }
 
-    /// Serializes the recording to a writer in the versioned container
-    /// format: magic, format version, then CRC32-guarded sections (meta,
-    /// initial checkpoint, one per epoch).
+    /// Serializes the recording as a finalized 1-shard recording stream
+    /// (see [`crate::journal_shards`]): byte-identical to what a
+    /// [`crate::JournalWriter`] streams for the same run.
     ///
     /// # Errors
     ///
     /// [`SaveError::TooManyEpochs`] when the epoch count does not fit the
-    /// container's u32 count field (saving would silently truncate);
-    /// [`SaveError::Io`] for writer failures.
-    pub fn save<W: Write>(&self, mut writer: W) -> Result<(), SaveError> {
-        let count = u32::try_from(self.epochs.len()).map_err(|_| SaveError::TooManyEpochs {
-            count: self.epochs.len(),
-        })?;
-        writer.write_all(&MAGIC)?;
-        writer.write_all(&FORMAT_VERSION.to_le_bytes())?;
-        write_section(&mut writer, &to_bytes(&self.meta))?;
-        write_section(&mut writer, &to_bytes(&self.initial))?;
-        writer.write_all(&count.to_le_bytes())?;
-        for epoch in &self.epochs {
-            write_section(&mut writer, &to_bytes(epoch))?;
+    /// stream's u32 epoch indices (saving would silently truncate);
+    /// [`SaveError::Io`] for writer failures and for epochs whose indices
+    /// are not `0, 1, 2, …`.
+    pub fn save<W: Write>(&self, writer: W) -> Result<(), SaveError> {
+        if u32::try_from(self.epochs.len()).is_err() {
+            return Err(SaveError::TooManyEpochs {
+                count: self.epochs.len(),
+            });
         }
+        let mut journal = JournalWriter::new(writer)?;
+        journal.begin(&self.meta, &self.initial)?;
+        for epoch in &self.epochs {
+            journal.epoch(epoch)?;
+        }
+        journal.finish()?;
         Ok(())
     }
 
-    /// Deserializes a recording from a reader, validating magic, format
-    /// version, and every section checksum before decoding.
+    /// Deserializes a recording saved by [`save`](Recording::save) (or a
+    /// finalized 1-shard journal): salvages the stream and requires it to
+    /// be clean, with no bytes past its final marker.
     ///
     /// # Errors
     ///
     /// [`ReplayError::Io`] if the reader fails;
-    /// [`ReplayError::UnsupportedVersion`] for an intact container written
-    /// by a different format version;
-    /// [`ReplayError::Corrupt`] for any malformed, truncated, or
-    /// bit-flipped container — never a panic.
+    /// [`ReplayError::UnsupportedVersion`] for a stream written by a
+    /// different format version (or a retired container);
+    /// [`ReplayError::Corrupt`] for any malformed, truncated, unfinalized,
+    /// or bit-flipped stream — never a panic.
     pub fn load<R: Read>(mut reader: R) -> Result<Self, ReplayError> {
         let mut buf = Vec::new();
         reader.read_to_end(&mut buf).map_err(|e| ReplayError::Io {
             detail: e.to_string(),
         })?;
-        let mut c = Container { buf: &buf, pos: 0 };
-        let magic = c.bytes(4, "magic")?;
-        if magic != MAGIC {
-            return Err(corrupt(format!("bad magic {magic:02x?}")));
+        let s = JournalReader::salvage(&buf)?;
+        if s.clean && s.dropped_bytes == 0 {
+            return Ok(s.recording);
         }
-        let version = c.u32_le("format version")?;
-        if version != FORMAT_VERSION {
-            return Err(ReplayError::UnsupportedVersion {
-                container: "recording",
-                found: version,
-                expected: FORMAT_VERSION,
-            });
-        }
-        let meta: RecordingMeta = c.section("meta")?;
-        let initial: CheckpointImage = c.section("initial checkpoint")?;
-        let count = c.u32_le("epoch count")?;
-        // Plausibility: every epoch section costs at least its length
-        // prefix and CRC trailer, so a count whose floor exceeds the
-        // remaining bytes is corrupt — reject it before looping.
-        let floor = (count as u64).saturating_mul(MIN_SECTION_BYTES);
-        let remaining = (c.buf.len() - c.pos) as u64;
-        if floor > remaining {
-            return Err(corrupt(format!(
-                "epoch count {count} implies at least {floor} bytes but only {remaining} remain"
-            )));
-        }
-        let mut epochs = Vec::new();
-        for i in 0..count {
-            epochs.push(c.section_indexed("epoch", i)?);
-        }
-        if c.pos != c.buf.len() {
-            return Err(corrupt(format!(
-                "{} trailing bytes after last epoch",
-                c.buf.len() - c.pos
-            )));
-        }
-        Ok(Recording {
-            meta,
-            initial,
-            epochs,
+        Err(ReplayError::Corrupt {
+            detail: format!(
+                "recording is not finalized ({}; {} committed epoch(s), {} byte(s) dropped) — \
+                 recover the committed prefix with `dp salvage`",
+                s.detail,
+                s.committed(),
+                s.dropped_bytes
+            ),
         })
-    }
-}
-
-/// Container magic: "DPRC" (DoublePlay ReCording).
-const MAGIC: [u8; 4] = *b"DPRC";
-/// Container format version; bumped on any layout change. Version 2
-/// switched the schedule/syscall log wire form to length-prefixed compact
-/// codec payloads (the encode-once commit path).
-const FORMAT_VERSION: u32 = 2;
-/// Least bytes one section can occupy: u32 length prefix + u32 CRC32.
-pub(crate) const MIN_SECTION_BYTES: u64 = 8;
-
-fn corrupt(detail: String) -> ReplayError {
-    ReplayError::Corrupt { detail }
-}
-
-/// Writes one length-prefixed, CRC32-trailed section.
-fn write_section<W: Write>(writer: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    writer.write_all(&(payload.len() as u32).to_le_bytes())?;
-    writer.write_all(payload)?;
-    writer.write_all(&crc32(payload).to_le_bytes())
-}
-
-/// Bounds-checked cursor over the container bytes.
-struct Container<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Container<'a> {
-    fn bytes(&mut self, n: usize, what: &str) -> Result<&'a [u8], ReplayError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| corrupt(format!("truncated at {what} (offset {})", self.pos)))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u32_le(&mut self, what: &str) -> Result<u32, ReplayError> {
-        let raw = self.bytes(4, what)?;
-        Ok(u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]))
-    }
-
-    /// Reads one section: length prefix, payload, CRC32; validates the
-    /// checksum before handing the payload to the decoder.
-    fn section<T: Wire>(&mut self, what: &str) -> Result<T, ReplayError> {
-        let len = self.u32_le(what)? as usize;
-        let payload = self.bytes(len, what)?;
-        let stored = self.u32_le(what)?;
-        let actual = crc32(payload);
-        if stored != actual {
-            return Err(corrupt(format!(
-                "{what} checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
-            )));
-        }
-        from_bytes(payload).map_err(|e| corrupt(format!("{what} payload undecodable: {e}")))
-    }
-
-    fn section_indexed<T: Wire>(&mut self, what: &str, index: u32) -> Result<T, ReplayError> {
-        self.section(&format!("{what} {index}"))
     }
 }
 
@@ -322,6 +234,7 @@ dp_support::impl_wire_struct!(EpochRecord {
 mod tests {
     use super::*;
     use dp_os::kernel::ExternalDest;
+    use dp_support::wire::to_bytes;
     use dp_vm::Tid;
 
     fn tiny_recording() -> Recording {
@@ -426,42 +339,65 @@ mod tests {
         let r = tiny_recording();
         let mut buf = Vec::new();
         r.save(&mut buf).unwrap();
-        // A version-1 file is not corrupt, just older: rewrite the version
+        // A version-2 stream is not corrupt, just older: rewrite the version
         // field and expect the typed error, never Corrupt or a bogus decode.
-        buf[4..8].copy_from_slice(&1u32.to_le_bytes());
+        buf[4..8].copy_from_slice(&2u32.to_le_bytes());
         match Recording::load(&buf[..]) {
             Err(ReplayError::UnsupportedVersion {
                 container,
                 found,
                 expected,
             }) => {
-                assert_eq!(container, "recording");
-                assert_eq!(found, 1);
-                assert_eq!(expected, FORMAT_VERSION);
+                assert_eq!(container, "recording stream");
+                assert_eq!(found, 2);
+                assert_eq!(expected, 3);
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
     }
 
     #[test]
-    fn implausible_epoch_count_is_rejected_without_looping() {
+    fn forged_final_epoch_count_is_rejected() {
         let r = tiny_recording();
         let mut buf = Vec::new();
         r.save(&mut buf).unwrap();
-        // Find the epoch-count field: it sits right after the two header
-        // sections. Overwrite it with u32::MAX; load must reject on the
-        // plausibility floor, not iterate four billion times.
-        let mut pos = 8; // magic + version
-        for _ in 0..2 {
-            let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-            pos += 4 + len + 4;
-        }
-        buf[pos..pos + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        // The FINAL frame is the last 13 bytes: tag, length, count, CRC.
+        // Re-frame it claiming u32::MAX epochs with a valid CRC: load must
+        // reject the disagreement, not trust the count.
+        let at = buf.len() - 13;
+        buf[at + 5..at + 9].copy_from_slice(&u32::MAX.to_le_bytes());
+        let crc = dp_support::crc32::crc32(&buf[at..at + 9]);
+        buf[at + 9..].copy_from_slice(&crc.to_le_bytes());
         match Recording::load(&buf[..]) {
             Err(ReplayError::Corrupt { detail }) => {
-                assert!(detail.contains("epoch count"), "detail: {detail}")
+                assert!(detail.contains("not finalized"), "detail: {detail}")
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn save_is_the_finalized_journal() {
+        let r = tiny_recording();
+        let mut saved = Vec::new();
+        r.save(&mut saved).unwrap();
+        let mut journal = JournalWriter::new(Vec::new()).unwrap();
+        journal.begin(&r.meta, &r.initial).unwrap();
+        journal.epoch(&r.epochs[0]).unwrap();
+        journal.finish().unwrap();
+        assert_eq!(saved, journal.into_inner());
+        // Every strict prefix is unfinalized: a typed error, never a load.
+        for cut in 0..saved.len() {
+            assert!(
+                matches!(
+                    Recording::load(&saved[..cut]),
+                    Err(ReplayError::Corrupt { .. })
+                ),
+                "prefix {cut} loaded"
+            );
+        }
+        // So are bytes past the final marker.
+        saved.push(0);
+        assert!(Recording::load(&saved[..]).is_err());
     }
 }

@@ -73,6 +73,20 @@ pub fn replay_epoch_observed<O: ReplayObserver>(
     epoch: &EpochRecord,
     obs: &mut O,
 ) -> Result<(Machine, Kernel, u64), ReplayError> {
+    replay_epoch_until(start, epoch, obs, None)
+}
+
+/// The one epoch-replay loop. With a `stop` target `(tid, icount)`, the
+/// replay returns early — unverified, since the recorded digest covers
+/// only the whole epoch — the moment thread `tid` reaches instruction
+/// count `icount`; otherwise (or when the target is never reached) it
+/// runs the epoch to its end and verifies the digest.
+fn replay_epoch_until<O: ReplayObserver>(
+    start: &Checkpoint,
+    epoch: &EpochRecord,
+    obs: &mut O,
+    stop: Option<(Tid, u64)>,
+) -> Result<(Machine, Kernel, u64), ReplayError> {
     let mut machine = start.machine.clone();
     let mut kernel = start.kernel.clone();
     let mut cursor = epoch.syscalls.cursor();
@@ -123,8 +137,12 @@ pub fn replay_epoch_observed<O: ReplayObserver>(
                 machine.push_signal_frame(tid, handler, &[sig]);
             }
             SchedEvent::Slice { tid, instrs } => {
+                let target = stop.and_then(|(t, icount)| (t == tid).then_some(icount));
                 let mut remaining = instrs;
                 while remaining > 0 {
+                    if target.is_some_and(|icount| machine.thread(tid).icount >= icount) {
+                        return Ok((machine, kernel, instructions));
+                    }
                     if !machine.thread(tid).is_ready() {
                         return Err(err_sched(
                             tid,
@@ -134,11 +152,16 @@ pub fn replay_epoch_observed<O: ReplayObserver>(
                             ),
                         ));
                     }
-                    let run = machine.run_slice(tid, SliceLimits::budget(remaining), &mut *obs)?;
+                    let limits = SliceLimits {
+                        icount_target: target,
+                        ..SliceLimits::budget(remaining)
+                    };
+                    let run = machine.run_slice(tid, limits, &mut *obs)?;
                     instructions += run.executed;
                     remaining -= run.executed;
                     match run.stop {
-                        StopReason::Budget | StopReason::IcountTarget => {}
+                        StopReason::IcountTarget => return Ok((machine, kernel, instructions)),
+                        StopReason::Budget => {}
                         StopReason::Exited => {
                             kernel.on_thread_exited(&mut machine, tid);
                             obs.on_replay_event(&ReplayEvent::ThreadExited { tid });
@@ -383,8 +406,10 @@ pub fn replay_parallel(
 
 /// Replays up to a point of interest and returns the machine state there:
 /// epoch `epoch`, just after thread `tid` reaches instruction count
-/// `icount`. The debugging workflow ("inspect state right before the race
-/// fired") the paper motivates deterministic replay with.
+/// `icount` (the verified end of the epoch if `tid` never gets there).
+/// The debugging workflow ("inspect state right before the race fired")
+/// the paper motivates deterministic replay with. It runs the same
+/// epoch-replay loop as [`replay_epoch`], with the point as a stop target.
 ///
 /// # Errors
 ///
@@ -409,66 +434,7 @@ pub fn replay_to_point(
         detail: "recording has no per-epoch checkpoints".into(),
     })?;
     let start = Checkpoint::from_image(program.clone(), image);
-    let mut machine = start.machine.clone();
-    let mut kernel = start.kernel.clone();
-    let mut cursor = epoch.syscalls.cursor();
-
-    for event in epoch.schedule.events() {
-        match *event {
-            SchedEvent::LoggedWake { tid: t } => {
-                if let Some(entry) = cursor.pop(t) {
-                    apply_entry(&mut machine, entry);
-                }
-            }
-            SchedEvent::Signal { tid: t, sig } => {
-                if let Some((_, handler)) = kernel.take_pending_signal(t) {
-                    machine.push_signal_frame(t, handler, &[sig]);
-                }
-            }
-            SchedEvent::Slice { tid: t, instrs } => {
-                let mut remaining = instrs;
-                while remaining > 0 && machine.thread(t).is_ready() {
-                    let stop_at = if t == tid { Some(icount) } else { None };
-                    if let Some(target) = stop_at {
-                        if machine.thread(t).icount >= target {
-                            return Ok(machine);
-                        }
-                    }
-                    let run = machine.run_slice(
-                        t,
-                        SliceLimits {
-                            max_instrs: remaining,
-                            icount_target: stop_at,
-                            stop_at_atomics: false,
-                        },
-                        &mut NullObserver,
-                    )?;
-                    remaining -= run.executed;
-                    match run.stop {
-                        StopReason::IcountTarget => return Ok(machine),
-                        StopReason::Exited => {
-                            kernel.on_thread_exited(&mut machine, t);
-                            break;
-                        }
-                        StopReason::Syscall(req) => {
-                            if abi::is_logged(req.num) {
-                                if let Some(e) = cursor.pop(t) {
-                                    apply_entry(&mut machine, e);
-                                }
-                            } else {
-                                kernel.handle(&mut machine, req, 0);
-                            }
-                        }
-                        StopReason::Budget | StopReason::Atomic { .. } => {}
-                    }
-                    if machine.halted().is_some() {
-                        return Ok(machine);
-                    }
-                }
-            }
-        }
-    }
-    Ok(machine)
+    replay_epoch_until(&start, epoch, &mut NullObserver, Some((tid, icount))).map(|(m, _, _)| m)
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
-//! Exhaustive prefix properties for the two durable formats:
+//! Exhaustive prefix properties of the recording stream, in its two uses:
 //!
-//! * `DPRC` container: *every* strict byte prefix of a valid recording is
-//!   rejected with a typed `ReplayError::Corrupt` — never a panic, never a
-//!   silent partial load;
-//! * `DPRJ` journal: *every* byte prefix salvages to exactly the epochs
-//!   whose commit markers lie inside the prefix, and each salvaged prefix
-//!   replays with the recorded per-epoch hashes.
+//! * a saved recording: *every* strict byte prefix is rejected by
+//!   `Recording::load` with a typed `ReplayError::Corrupt` — never a
+//!   panic, never a silent partial load;
+//! * a streaming journal: *every* byte prefix salvages to exactly the
+//!   epochs whose commit markers lie inside the prefix, and each salvaged
+//!   prefix replays with the recorded per-epoch hashes.
 //!
 //! These are the crash-consistency contract: a torn write can cut a file
 //! at any byte, so the guarantees must hold at all of them, not at a
@@ -92,15 +92,17 @@ fn journaled(recording: &Recording) -> (Vec<u8>, Vec<usize>) {
     (w.into_inner(), commits)
 }
 
-/// Every strict byte prefix of a valid `DPRC` container is rejected with
+/// Every strict byte prefix of a saved recording is rejected with
 /// `ReplayError::Corrupt`: no prefix panics, and none loads as a shorter
 /// recording (partial data must flow through salvage, never through load).
 #[test]
-fn every_strict_dprc_prefix_is_rejected() {
+fn every_strict_saved_prefix_is_rejected() {
     let (_, recording) = small_recording();
     let mut saved = Vec::new();
     recording.save(&mut saved).unwrap();
     assert!(Recording::load(&saved[..]).is_ok());
+    // A saved recording is the finalized journal of the same run.
+    assert_eq!(saved, journaled(&recording).0);
     for n in 0..saved.len() {
         match Recording::load(&saved[..n]) {
             Err(ReplayError::Corrupt { .. }) => {}
@@ -110,7 +112,7 @@ fn every_strict_dprc_prefix_is_rejected() {
     }
 }
 
-/// Every byte prefix of a `DPRJ` journal salvages to exactly the epochs
+/// Every byte prefix of a journal salvages to exactly the epochs
 /// committed within it: cuts before the header frame are typed errors,
 /// and from there each commit marker adds exactly one salvageable epoch.
 #[test]

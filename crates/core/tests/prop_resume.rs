@@ -14,7 +14,7 @@
 use dp_core::journal::RecordSink;
 use dp_core::{
     record_to, resume_from, DoublePlayConfig, FaultPlan, GuestSpec, JournalReader, JournalWriter,
-    Recording, ResumeError, ShardedJournalWriter,
+    Recording, ResumeError, Salvaged, ShardedJournalWriter,
 };
 use dp_os::abi;
 use dp_os::kernel::WorldConfig;
@@ -67,7 +67,14 @@ fn counter_spec(name: &str, iters: i64, racy: bool) -> GuestSpec {
     GuestSpec::new(name, Arc::new(pb.finish("main")), WorldConfig::default())
 }
 
-/// Records the uninterrupted solo run into a single `DPRJ` stream,
+/// Reopens a single-stream journal after salvage `s` of (a prefix of)
+/// `journal`: truncate to the committed prefix, append from there.
+fn resume_one(journal: &[u8], s: &Salvaged) -> ShardedJournalWriter<Vec<u8>> {
+    let prefix = journal[..s.shard_keep[0].unwrap()].to_vec();
+    ShardedJournalWriter::resume(vec![prefix], 1, s).unwrap()
+}
+
+/// Records the uninterrupted solo run into a single-stream journal,
 /// returning the journal bytes, the recording, and each epoch's commit
 /// offset (the durability point a crash can land on either side of).
 fn solo_journal(spec: &GuestSpec, config: &DoublePlayConfig) -> (Vec<u8>, Recording, Vec<usize>) {
@@ -124,13 +131,12 @@ fn crash_and_resume_at(
         }
     };
     let committed = s.committed();
-    let prefix = torn[..s.committed_bytes].to_vec();
-    let mut w = JournalWriter::resume_after(prefix, &s);
+    let mut w = resume_one(torn, &s);
     let bundle = resume_from(spec, config, s.recording, &mut w)
         .unwrap_or_else(|e| panic!("cut {cut} ({committed} epochs salvaged): resume failed: {e}"));
     assert_eq!(
-        w.into_inner(),
-        full,
+        w.into_writers().unwrap(),
+        [full],
         "cut {cut}: resumed journal differs from the uninterrupted run"
     );
     assert_eq!(
@@ -272,8 +278,7 @@ fn tampered_hash_surfaces_as_prefix_diverged() {
         assert_eq!(s.committed(), 3);
         s.recording.epochs[victim as usize].end_machine_hash ^= 0xdead_beef;
         let expected = s.recording.epochs[victim as usize].end_machine_hash;
-        let prefix = full[..s.committed_bytes].to_vec();
-        let mut w = JournalWriter::resume_after(prefix, &s);
+        let mut w = resume_one(&full, &s);
         match resume_from(&spec, &config, s.recording, &mut w) {
             Err(ResumeError::PrefixDiverged {
                 epoch, expected: e, ..
@@ -301,7 +306,7 @@ fn foreign_prefixes_are_rejected_as_bad_prefix() {
 
     let other = counter_spec("someone-else", 900, false);
     let s = salvage();
-    let mut sink = JournalWriter::resume_after(full[..s.committed_bytes].to_vec(), &s);
+    let mut sink = resume_one(&full, &s);
     assert!(matches!(
         resume_from(&other, &config, s.recording, &mut sink),
         Err(ResumeError::BadPrefix { .. })
@@ -309,7 +314,7 @@ fn foreign_prefixes_are_rejected_as_bad_prefix() {
 
     let reseeded = config.hidden_seed(42);
     let s = salvage();
-    let mut sink = JournalWriter::resume_after(full[..s.committed_bytes].to_vec(), &s);
+    let mut sink = resume_one(&full, &s);
     assert!(matches!(
         resume_from(&spec, &reseeded, s.recording, &mut sink),
         Err(ResumeError::BadPrefix { .. })
@@ -320,7 +325,7 @@ fn foreign_prefixes_are_rejected_as_bad_prefix() {
     // bytes (the strategy is invisible in the journal).
     let piped = config.pipelined(true).spare_workers(1);
     let s = salvage();
-    let mut sink = JournalWriter::resume_after(full[..s.committed_bytes].to_vec(), &s);
+    let mut sink = resume_one(&full, &s);
     let err = resume_from(&spec, &piped, s.recording, &mut sink);
     assert!(
         matches!(err, Err(ResumeError::BadPrefix { .. })),
@@ -328,11 +333,11 @@ fn foreign_prefixes_are_rejected_as_bad_prefix() {
     );
     let piped_same = config.pipelined(true);
     let s = salvage();
-    let mut sink = JournalWriter::resume_after(full[..s.committed_bytes].to_vec(), &s);
+    let mut sink = resume_one(&full, &s);
     resume_from(&spec, &piped_same, s.recording, &mut sink).unwrap();
     assert_eq!(
-        sink.into_inner(),
-        full,
+        sink.into_writers().unwrap(),
+        [full],
         "pipelined resume diverged in bytes"
     );
 }

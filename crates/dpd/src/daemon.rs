@@ -15,8 +15,8 @@ use crate::admission::AdmitError;
 use crate::session::{Priority, SessionError, SessionId, SessionReport, SessionSpec, SessionState};
 use crate::store::{DirStore, Orphan, OrphanClass, SessionStore};
 use dp_core::{
-    record_to, resume_from, DoublePlayConfig, GuestSpec, JournalReader, JournalWriter,
-    RecordingMeta, ShardedJournalWriter, DEFAULT_SHARD_BATCH,
+    group_commit, record_to, resume_from, DoublePlayConfig, GuestSpec, JournalReader,
+    RecordingMeta, Salvaged, ShardedJournalWriter,
 };
 use dp_os::FaultedSink;
 use std::collections::{HashMap, VecDeque};
@@ -447,13 +447,14 @@ impl<S: SessionStore + 'static> Daemon<S> {
         // Phase 2: read and salvage the durable prefix and, for adopted
         // rows, rebuild the real spec from the journal's metadata — pure
         // byte and program-builder work, outside the lock.
-        let (meta, from_epoch) = match salvage_view(&*self.inner.store, id, spec.journal_shards) {
-            Ok(v) => v,
-            Err(detail) => {
-                self_lock(&self.inner).metrics.resume_failed += 1;
-                return Err(not(detail));
-            }
-        };
+        let (meta, from_epoch) =
+            match salvage_for_resume(&*self.inner.store, id, spec.shard_count()) {
+                Ok(s) => (s.recording.meta, s.recording.epochs.len() as u32),
+                Err(detail) => {
+                    self_lock(&self.inner).metrics.resume_failed += 1;
+                    return Err(not(detail));
+                }
+            };
         let spec = if adopted {
             let Some(guest) = resolve_guest(&meta) else {
                 self_lock(&self.inner).metrics.resume_failed += 1;
@@ -654,7 +655,7 @@ impl Daemon<DirStore> {
                 }
             };
             let Some(id) = o.id else { continue };
-            let shards = o.files.iter().filter(|(k, _)| k.is_some()).count() as u32;
+            let shards = o.files.len() as u32;
             if self.adopt(id, &o.name, state, epochs, shards, error) {
                 for (shard, path) in &o.files {
                     self.inner.store.adopt_path(id, *shard, path.clone());
@@ -667,38 +668,24 @@ impl Daemon<DirStore> {
     }
 }
 
-/// The salvaged durable view of a session's journal as crash-resume
-/// needs it: the recording metadata plus the committed epoch count.
-/// Errors are operator-facing strings (they become the
-/// [`SessionError::NotResumable`] detail).
-fn salvage_view<S: SessionStore + ?Sized>(
+/// Salvages every stream of `id`'s journal and checks that append-reopen
+/// can continue it: resume needs every stream's header. Errors are
+/// operator-facing strings (they become the
+/// [`SessionError::NotResumable`] detail or the attempt's error).
+fn salvage_for_resume<S: SessionStore + ?Sized>(
     store: &S,
     id: SessionId,
     shards: u32,
-) -> Result<(RecordingMeta, u32), String> {
-    if shards >= 2 {
-        let mut bufs = Vec::new();
-        for k in 0..shards {
-            bufs.push(
-                store
-                    .durable_shard(id, k)
-                    .map_err(|e| format!("store read failed (shard {k}): {e}"))?,
-            );
-        }
-        let s = JournalReader::salvage_shards(&bufs).map_err(|e| format!("salvage failed: {e}"))?;
-        if s.shard_keep.iter().any(Option::is_none) {
-            return Err("a shard stream is missing its header; cannot resume".into());
-        }
-        let epochs = s.committed() as u32;
-        Ok((s.recording.meta, epochs))
-    } else {
-        let bytes = store
-            .durable(id)
-            .map_err(|e| format!("store read failed: {e}"))?;
-        let s = JournalReader::salvage(&bytes).map_err(|e| format!("salvage failed: {e}"))?;
-        let epochs = s.committed() as u32;
-        Ok((s.recording.meta, epochs))
+) -> Result<Salvaged, String> {
+    let bufs = (0..shards)
+        .map(|k| store.durable_stream(id, k))
+        .collect::<std::io::Result<Vec<_>>>()
+        .map_err(|e| format!("store read failed: {e}"))?;
+    let s = JournalReader::salvage_shards(&bufs).map_err(|e| format!("salvage failed: {e}"))?;
+    if s.shard_keep.iter().any(Option::is_none) {
+        return Err("a journal stream is missing its header; cannot resume".into());
     }
+    Ok(s)
 }
 
 /// Reconstructs an adopted session's guest from its journal metadata:
@@ -910,13 +897,12 @@ fn self_lock<S: SessionStore + ?Sized>(inner: &Inner<S>) -> MutexGuard<'_, Regis
     inner.reg.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Executes one attempt: open the store writer (faulted if the session's
-/// sink-fault plan applies to this attempt), stream the journal, contain
-/// panics. No daemon lock is held anywhere in here.
+/// Executes one attempt: open the store streams (faulted if the
+/// session's sink-fault plan applies to this attempt) — truncating for a
+/// fresh attempt, appending after the salvaged prefix for a crash-resume —
+/// stream the journal, contain panics. No daemon lock is held anywhere in
+/// here.
 fn run_attempt<S: SessionStore + ?Sized>(store: &S, c: &Claim) -> AttemptOutcome {
-    if c.resume_from.is_some() {
-        return run_resume_attempt(store, c);
-    }
     let started = Instant::now();
     let mut cfg = c.spec.config;
     if c.degraded {
@@ -928,142 +914,57 @@ fn run_attempt<S: SessionStore + ?Sized>(store: &S, c: &Claim) -> AttemptOutcome
     }
     let faulted =
         c.spec.sink_faults.is_active() && (c.attempt == 0 || !c.spec.transient_sink_faults);
-    let wrap = |raw: Box<dyn Write + Send>| -> Box<dyn Write + Send> {
-        if faulted {
-            Box::new(FaultedSink::new(raw, c.spec.sink_faults))
-        } else {
-            raw
-        }
-    };
-    let error = (|| -> Option<String> {
-        if c.spec.journal_shards >= 2 {
-            // Sharded journaling: one store stream per shard, group
-            // commit inside the sharded writer. Sink faults wrap each
-            // shard stream independently — a faulted device cuts shards
-            // at uncorrelated points, which is exactly what the
-            // cross-shard salvage must cope with.
-            let mut sinks: Vec<Box<dyn Write + Send>> = Vec::new();
-            for shard in 0..c.spec.journal_shards {
-                match store.open_shard(SessionId(c.sid), &c.spec.name, c.attempt, shard) {
-                    Ok(w) => sinks.push(wrap(w)),
-                    Err(e) => return Some(format!("store open failed (shard {shard}): {e}")),
+    // Sink faults wrap each stream independently — a faulted device cuts
+    // shards at uncorrelated points, which is exactly what the
+    // cross-shard salvage must cope with.
+    let wrap = |raw: Vec<Box<dyn Write + Send>>| -> Vec<Box<dyn Write + Send>> {
+        raw.into_iter()
+            .map(|w| -> Box<dyn Write + Send> {
+                if faulted {
+                    Box::new(FaultedSink::new(w, c.spec.sink_faults))
+                } else {
+                    w
                 }
-            }
-            let mut journal = match ShardedJournalWriter::new(sinks, DEFAULT_SHARD_BATCH) {
-                Ok(j) => j,
-                Err(e) => return Some(format!("journal preamble failed: {e}")),
-            };
-            match catch_unwind(AssertUnwindSafe(|| {
-                record_to(&c.spec.guest, &cfg, &mut journal)
-            })) {
-                Ok(Ok(_bundle)) => None,
-                Ok(Err(e)) => Some(e.to_string()),
-                Err(payload) => Some(format!("session panicked: {}", panic_detail(&*payload))),
-            }
-        } else {
-            let raw = match store.open(SessionId(c.sid), &c.spec.name, c.attempt) {
-                Ok(w) => w,
-                Err(e) => return Some(format!("store open failed: {e}")),
-            };
-            let mut journal = match JournalWriter::new(wrap(raw)) {
-                Ok(j) => j,
-                Err(e) => return Some(format!("journal preamble failed: {e}")),
-            };
-            match catch_unwind(AssertUnwindSafe(|| {
-                record_to(&c.spec.guest, &cfg, &mut journal)
-            })) {
-                Ok(Ok(_bundle)) => None,
-                Ok(Err(e)) => Some(e.to_string()),
-                Err(payload) => Some(format!("session panicked: {}", panic_detail(&*payload))),
-            }
-        }
-    })();
+            })
+            .collect()
+    };
+    let id = SessionId(c.sid);
+    let shards = c.spec.shard_count();
+    let batch = group_commit(shards);
+    let outcome = if c.resume_from.is_none() {
+        store
+            .open(id, &c.spec.name, c.attempt, shards)
+            .map_err(|e| format!("store open failed: {e}"))
+            .and_then(|sinks| {
+                ShardedJournalWriter::new(wrap(sinks), batch)
+                    .map_err(|e| format!("journal preamble failed: {e}"))
+            })
+            .and_then(|mut journal| contained(|| record_to(&c.spec.guest, &cfg, &mut journal)))
+    } else {
+        // Crash-resume: nothing here ever rewrites a committed byte.
+        salvage_for_resume(store, id, shards).and_then(|s| {
+            let keeps: Vec<u64> = s.shard_keep.iter().flatten().map(|&k| k as u64).collect();
+            let sinks = store
+                .open_resume(id, &keeps)
+                .map_err(|e| format!("store resume open failed: {e}"))?;
+            let mut journal = ShardedJournalWriter::resume(wrap(sinks), batch, &s)
+                .map_err(|e| format!("journal resume failed: {e}"))?;
+            contained(|| resume_from(&c.spec.guest, &cfg, s.recording, &mut journal))
+        })
+    };
     AttemptOutcome {
-        error,
+        error: outcome.err(),
         run_ns: started.elapsed().as_nanos() as u64,
     }
 }
 
-/// Executes one crash-resume attempt: salvage the durable prefix, reopen
-/// every stream truncated to it and positioned for append, re-enact the
-/// prefix, and continue recording. Unlike [`run_attempt`]'s truncating
-/// opens, nothing here ever rewrites a committed byte. No daemon lock is
-/// held anywhere in here.
-fn run_resume_attempt<S: SessionStore + ?Sized>(store: &S, c: &Claim) -> AttemptOutcome {
-    let started = Instant::now();
-    let mut cfg = c.spec.config;
-    if c.degraded {
-        cfg.pipelined = false;
-    }
-    let faulted =
-        c.spec.sink_faults.is_active() && (c.attempt == 0 || !c.spec.transient_sink_faults);
-    let wrap = |raw: Box<dyn Write + Send>| -> Box<dyn Write + Send> {
-        if faulted {
-            Box::new(FaultedSink::new(raw, c.spec.sink_faults))
-        } else {
-            raw
-        }
-    };
-    let error = (|| -> Option<String> {
-        if c.spec.journal_shards >= 2 {
-            let mut bufs = Vec::new();
-            for k in 0..c.spec.journal_shards {
-                match store.durable_shard(SessionId(c.sid), k) {
-                    Ok(b) => bufs.push(b),
-                    Err(e) => return Some(format!("store read failed (shard {k}): {e}")),
-                }
-            }
-            let s = match JournalReader::salvage_shards(&bufs) {
-                Ok(s) => s,
-                Err(e) => return Some(format!("salvage failed: {e}")),
-            };
-            let Some(keeps) = s.shard_keep.iter().copied().collect::<Option<Vec<usize>>>() else {
-                return Some("a shard stream is missing its header; cannot resume".into());
-            };
-            let mut sinks: Vec<Box<dyn Write + Send>> = Vec::new();
-            for (k, keep) in keeps.iter().enumerate() {
-                match store.open_resume_shard(SessionId(c.sid), k as u32, *keep as u64) {
-                    Ok(w) => sinks.push(wrap(w)),
-                    Err(e) => return Some(format!("store resume open failed (shard {k}): {e}")),
-                }
-            }
-            let mut journal = match ShardedJournalWriter::resume(sinks, DEFAULT_SHARD_BATCH, &s) {
-                Ok(j) => j,
-                Err(e) => return Some(format!("journal resume failed: {e}")),
-            };
-            match catch_unwind(AssertUnwindSafe(|| {
-                resume_from(&c.spec.guest, &cfg, s.recording, &mut journal)
-            })) {
-                Ok(Ok(_bundle)) => None,
-                Ok(Err(e)) => Some(e.to_string()),
-                Err(payload) => Some(format!("session panicked: {}", panic_detail(&*payload))),
-            }
-        } else {
-            let bytes = match store.durable(SessionId(c.sid)) {
-                Ok(b) => b,
-                Err(e) => return Some(format!("store read failed: {e}")),
-            };
-            let s = match JournalReader::salvage(&bytes) {
-                Ok(s) => s,
-                Err(e) => return Some(format!("salvage failed: {e}")),
-            };
-            let raw = match store.open_resume(SessionId(c.sid), s.committed_bytes as u64) {
-                Ok(w) => w,
-                Err(e) => return Some(format!("store resume open failed: {e}")),
-            };
-            let mut journal = JournalWriter::resume_after(wrap(raw), &s);
-            match catch_unwind(AssertUnwindSafe(|| {
-                resume_from(&c.spec.guest, &cfg, s.recording, &mut journal)
-            })) {
-                Ok(Ok(_bundle)) => None,
-                Ok(Err(e)) => Some(e.to_string()),
-                Err(payload) => Some(format!("session panicked: {}", panic_detail(&*payload))),
-            }
-        }
-    })();
-    AttemptOutcome {
-        error,
-        run_ns: started.elapsed().as_nanos() as u64,
+/// Runs one recording call with panics contained: a recording error or a
+/// panic becomes the attempt's error string.
+fn contained<T, E: std::fmt::Display>(run: impl FnOnce() -> Result<T, E>) -> Result<(), String> {
+    match catch_unwind(AssertUnwindSafe(run)) {
+        Ok(Ok(_)) => Ok(()),
+        Ok(Err(e)) => Err(e.to_string()),
+        Err(payload) => Err(format!("session panicked: {}", panic_detail(&*payload))),
     }
 }
 
@@ -1080,29 +981,24 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 /// durable journal into a terminal state.
 fn retire<S: SessionStore + ?Sized>(inner: &Inner<S>, c: Claim, out: AttemptOutcome) {
     // Salvage the durable view outside the lock; it is pure byte work.
-    // Both journal modes reduce to the same classification inputs: was
-    // the durable view clean, and how many epochs does it commit.
+    // The classification inputs: was the durable view clean, and how
+    // many epochs does it commit.
     // Resumed attempts are always terminal: the prefix re-enactment is
     // deterministic, so a failed resume would fail identically on retry —
     // the row returns to Salvaged (re-resumable within budget) instead.
     let terminal =
         out.error.is_none() || c.resume_from.is_some() || c.attempt >= c.spec.restart_budget;
-    let salvaged: Option<(bool, usize)> = if !terminal {
-        None
-    } else if c.spec.journal_shards >= 2 {
-        let bufs: Vec<Vec<u8>> = (0..c.spec.journal_shards)
-            .filter_map(|k| inner.store.durable_shard(SessionId(c.sid), k).ok())
+    // An unreadable stream is simply absent: salvage bounds the prefix
+    // at its first epoch (or finds nothing, and the session fails).
+    let salvaged: Option<(bool, usize)> = if terminal {
+        let bufs: Vec<Vec<u8>> = (0..c.spec.shard_count())
+            .filter_map(|k| inner.store.durable_stream(SessionId(c.sid), k).ok())
             .collect();
         JournalReader::salvage_shards(&bufs)
             .ok()
             .map(|s| (s.clean, s.committed()))
     } else {
-        match inner.store.durable(SessionId(c.sid)) {
-            Ok(bytes) => JournalReader::salvage(&bytes)
-                .ok()
-                .map(|s| (s.clean, s.committed())),
-            Err(_) => None,
-        }
+        None
     };
 
     let mut guard = self_lock(inner);
@@ -1161,7 +1057,7 @@ mod tests {
     use crate::guests;
     use crate::session::Priority;
     use crate::store::MemStore;
-    use dp_core::{DoublePlayConfig, FaultPlan};
+    use dp_core::{DoublePlayConfig, FaultPlan, JournalWriter};
 
     fn tiny_config() -> DoublePlayConfig {
         DoublePlayConfig::new(2).epoch_cycles(800)
@@ -1384,18 +1280,19 @@ mod tests {
                 id: SessionId,
                 name: &str,
                 attempt: u32,
-            ) -> std::io::Result<Box<dyn Write + Send>> {
+                shards: u32,
+            ) -> std::io::Result<Vec<Box<dyn Write + Send>>> {
                 if id.0 == self.panic_for {
-                    Ok(Box::new(PanicWriter { wrote: 0 }))
+                    Ok(vec![Box::new(PanicWriter { wrote: 0 })])
                 } else {
-                    self.inner.open(id, name, attempt)
+                    self.inner.open(id, name, attempt, shards)
                 }
             }
-            fn durable(&self, id: SessionId) -> std::io::Result<Vec<u8>> {
+            fn durable_stream(&self, id: SessionId, shard: u32) -> std::io::Result<Vec<u8>> {
                 if id.0 == self.panic_for {
                     Err(std::io::Error::other("panicked sink has no bytes"))
                 } else {
-                    self.inner.durable(id)
+                    self.inner.durable_stream(id, shard)
                 }
             }
         }
@@ -1435,8 +1332,8 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let daemon = Daemon::start(DaemonConfig::default(), store.clone());
         let spec = tiny_spec("sharded").journal_shards(3);
-        // The oracle: a solo sequential run's *recording* bytes (the
-        // container bytes differ by design — DPRS streams vs one DPRJ).
+        // The oracle: a solo sequential run's saved recording (a 1-shard
+        // stream; the 3-shard streams merge to the same recording).
         let mut solo_rec = Vec::new();
         {
             let mut w = JournalWriter::new(Vec::new()).unwrap();
@@ -1449,7 +1346,7 @@ mod tests {
         assert_eq!(r.state, SessionState::Finalized, "error: {:?}", r.error);
         assert!(r.epochs >= 2);
         let bufs: Vec<Vec<u8>> = (0..3)
-            .map(|k| store.durable_shard(id, k).unwrap())
+            .map(|k| store.durable_stream(id, k).unwrap())
             .collect();
         let merged = JournalReader::salvage_shards(&bufs).unwrap();
         assert!(merged.clean);
@@ -1682,7 +1579,7 @@ mod tests {
             let r = daemon.report(id).unwrap();
             assert_eq!(r.state, SessionState::Finalized);
             epochs = r.epochs;
-            let full = std::fs::read(store.path(id).unwrap()).unwrap();
+            let full = std::fs::read(store.path(id, 0).unwrap()).unwrap();
             std::fs::write(dir.join("s0002-cut.dprj"), &full[..full.len() - 5]).unwrap();
             std::fs::write(dir.join("s0003-empty.dprj"), b"").unwrap();
             std::fs::write(dir.join("s0004-mid.dprj.tmp"), b"half").unwrap();

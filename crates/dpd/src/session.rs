@@ -154,11 +154,10 @@ pub struct SessionSpec {
     /// transient durable-path outage that a retry recovers from. When
     /// false, every attempt hits the same faults (a dead disk).
     pub transient_sink_faults: bool,
-    /// Journal shard streams. `0` or `1` records the classic single
-    /// `DPRJ` stream; `N >= 2` records `N` group-committed `DPRS` shard
-    /// streams (the store must support
-    /// [`SessionStore::open_shard`](crate::SessionStore::open_shard)),
-    /// which salvage to the longest consistent cross-shard prefix.
+    /// Journal streams. `0` or `1` records one stream that flushes at
+    /// every commit marker; `N >= 2` records `N` group-committed streams,
+    /// which salvage to the longest consistent cross-shard prefix (see
+    /// [`shard_count`](SessionSpec::shard_count)).
     pub journal_shards: u32,
     /// Client-chosen idempotency token (empty = none). Submitting twice
     /// with the same non-empty token admits exactly one session: the
@@ -212,6 +211,12 @@ impl SessionSpec {
     pub fn journal_shards(mut self, n: u32) -> Self {
         self.journal_shards = n;
         self
+    }
+
+    /// The number of streams the session's journal has: `journal_shards`,
+    /// with `0` meaning one.
+    pub fn shard_count(&self) -> u32 {
+        self.journal_shards.max(1)
     }
 
     /// Sets the idempotency token (duplicate submissions with the same
@@ -289,9 +294,9 @@ pub struct SessionReport {
     /// Queue wait from submission to the first runner claim, in
     /// nanoseconds (the admission-latency metric).
     pub admission_wait_ns: u64,
-    /// Journal shard streams the session records (`0` = the classic
-    /// single `DPRJ` stream) — the attach path needs this to know which
-    /// store streams back the session.
+    /// Journal shard streams the session records (`0` or `1` = a single
+    /// stream) — the attach path needs this to know which store streams
+    /// back the session.
     pub journal_shards: u32,
     /// The most recent attempt's error, if any.
     pub error: Option<String>,

@@ -1,9 +1,9 @@
 //! Pluggable per-session journal stores, including a crash-simulating one.
 //!
-//! The daemon streams each session's `DPRJ` journal through a
-//! [`SessionStore`], which hands out one writer per attempt and can later
-//! produce the bytes that would survive a machine crash. Two
-//! implementations:
+//! The daemon streams each session's journal — one or more recording
+//! streams — through a [`SessionStore`], which hands out the writers for
+//! each attempt and can later produce the bytes that would survive a
+//! machine crash. Two implementations:
 //!
 //! * [`MemStore`] — in-memory buffers, optionally threaded onto a shared
 //!   [`CrashClock`] that models a daemon-wide SIGKILL: one global byte
@@ -11,8 +11,9 @@
 //!   written before the crash instant are durable (a write straddling the
 //!   instant is torn). This is the engine of the N-journal crash property
 //!   tests.
-//! * [`DirStore`] — one `s{id}-{name}.dprj` file per session in a
-//!   directory, for `dp serve`; a killed daemon leaves files that
+//! * [`DirStore`] — one `s{id}-{name}.dprj` file per 1-shard session
+//!   (`.s{k}.dprs` siblings for more streams) in a directory, for
+//!   `dp serve`; a killed daemon leaves files that
 //!   `dp sessions` / `dp salvage` recover independently.
 
 use crate::session::SessionId;
@@ -24,68 +25,49 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Where per-session journals go. Implementations are shared across
+/// Where per-session journals go. A session's journal is one or more
+/// recording streams (its shard count, see
+/// [`SessionSpec::journal_shards`](crate::SessionSpec::journal_shards));
+/// stores address them by shard index. Implementations are shared across
 /// runner threads.
 pub trait SessionStore: Send + Sync {
-    /// Opens (or truncates, on a retry) the journal for `id`'s given
-    /// attempt and returns its writer. Attempts rewrite in place: the
-    /// journal a session leaves behind is always its *latest* attempt's.
+    /// Opens (or truncates, on a retry) the `shards` streams of `id`'s
+    /// journal for the given attempt and returns their writers in shard
+    /// order. Attempts rewrite in place: the journal a session leaves
+    /// behind is always its *latest* attempt's.
     ///
     /// # Errors
     ///
     /// Store I/O failures (these surface as the session's sink error).
-    fn open(&self, id: SessionId, name: &str, attempt: u32) -> io::Result<Box<dyn Write + Send>>;
-
-    /// The bytes of `id`'s journal that would survive a crash right now —
-    /// what a post-mortem salvage scan would read.
-    ///
-    /// # Errors
-    ///
-    /// Unknown session, or store I/O failures.
-    fn durable(&self, id: SessionId) -> io::Result<Vec<u8>>;
-
-    /// Opens (or truncates, on a retry) one `DPRS` shard stream of `id`'s
-    /// sharded journal. Sessions recording with `journal_shards >= 2`
-    /// open one writer per shard; single-stream sessions use
-    /// [`open`](SessionStore::open) instead. The default refuses, so a
-    /// store that never sees sharded sessions needs no shard support.
-    ///
-    /// # Errors
-    ///
-    /// `Unsupported` by default; store I/O failures otherwise.
-    fn open_shard(
+    fn open(
         &self,
         id: SessionId,
         name: &str,
         attempt: u32,
-        shard: u32,
-    ) -> io::Result<Box<dyn Write + Send>> {
-        let _ = (id, name, attempt, shard);
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "store does not support sharded journals",
-        ))
-    }
+        shards: u32,
+    ) -> io::Result<Vec<Box<dyn Write + Send>>>;
 
-    /// The crash-surviving bytes of one shard stream of `id`'s sharded
-    /// journal — the per-shard counterpart of
-    /// [`durable`](SessionStore::durable).
+    /// The bytes of stream `shard` of `id`'s journal that would survive a
+    /// crash right now — what a post-mortem salvage scan would read.
     ///
     /// # Errors
     ///
-    /// `Unsupported` by default; unknown session or store I/O failures
-    /// otherwise.
-    fn durable_shard(&self, id: SessionId, shard: u32) -> io::Result<Vec<u8>> {
-        let _ = (id, shard);
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "store does not support sharded journals",
-        ))
+    /// Unknown session or stream, or store I/O failures.
+    fn durable_stream(&self, id: SessionId, shard: u32) -> io::Result<Vec<u8>>;
+
+    /// The crash-surviving bytes of stream 0: for a 1-shard session, its
+    /// whole journal (what attach streams).
+    ///
+    /// # Errors
+    ///
+    /// As [`durable_stream`](SessionStore::durable_stream).
+    fn durable(&self, id: SessionId) -> io::Result<Vec<u8>> {
+        self.durable_stream(id, 0)
     }
 
-    /// Reopens `id`'s journal for crash-resume: truncates the stored
-    /// stream to its `keep`-byte salvaged prefix (dropping the torn tail)
-    /// and returns a writer positioned to **append** after it — unlike
+    /// Reopens `id`'s journal for crash-resume: truncates stream `k` to
+    /// its `keeps[k]`-byte salvaged prefix (dropping the torn tail) and
+    /// returns writers positioned to **append** after it — unlike
     /// [`open`](SessionStore::open), the prefix is preserved, not
     /// rewritten. The default refuses, so stores predating resume keep
     /// working (resume just reports the store can't).
@@ -94,29 +76,8 @@ pub trait SessionStore: Send + Sync {
     ///
     /// `Unsupported` by default; unknown session or store I/O failures
     /// otherwise.
-    fn open_resume(&self, id: SessionId, keep: u64) -> io::Result<Box<dyn Write + Send>> {
-        let _ = (id, keep);
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "store does not support crash-resume",
-        ))
-    }
-
-    /// The sharded counterpart of [`open_resume`](SessionStore::open_resume):
-    /// truncates one shard stream to its `keep`-byte consistent prefix
-    /// and returns an appending writer.
-    ///
-    /// # Errors
-    ///
-    /// `Unsupported` by default; unknown session or store I/O failures
-    /// otherwise.
-    fn open_resume_shard(
-        &self,
-        id: SessionId,
-        shard: u32,
-        keep: u64,
-    ) -> io::Result<Box<dyn Write + Send>> {
-        let _ = (id, shard, keep);
+    fn open_resume(&self, id: SessionId, keeps: &[u64]) -> io::Result<Vec<Box<dyn Write + Send>>> {
+        let _ = (id, keeps);
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
             "store does not support crash-resume",
@@ -175,14 +136,13 @@ struct SessionBuf {
 /// [`MemStore`]'s buffer map: keyed by `(session id, shard)`.
 type SessionBufs = HashMap<(u64, u32), Arc<Mutex<SessionBuf>>>;
 
-/// An in-memory [`SessionStore`], optionally crash-simulating. Sharded
-/// journals are supported: each `(session, shard)` pair gets its own
-/// buffer on the same crash clock, so one machine death cuts every shard
-/// of every session at a different point.
+/// An in-memory [`SessionStore`], optionally crash-simulating. Each
+/// `(session, shard)` stream gets its own buffer on the same crash clock,
+/// so one machine death cuts every stream of every session at a
+/// different point.
 #[derive(Default)]
 pub struct MemStore {
-    /// Keyed by `(session id, shard)`; the single-stream journal is
-    /// shard 0.
+    /// Keyed by `(session id, shard)`.
     sessions: Mutex<SessionBufs>,
     clock: Option<Arc<CrashClock>>,
 }
@@ -228,15 +188,15 @@ impl MemStore {
         })
     }
 
-    /// Everything the session has written, durable or not (the live view).
+    /// Everything stream 0 of the session has written, durable or not
+    /// (the live view).
     pub fn live(&self, id: SessionId) -> Vec<u8> {
         self.buf(id, 0).lock().unwrap().bytes.clone()
     }
 
     /// Seeds a `(session, shard)` stream with fully-durable `bytes` —
     /// models a daemon reboot: the new incarnation's store starts from
-    /// whatever the dead one left durable. Shard `0` doubles as the
-    /// single-stream journal.
+    /// whatever the dead one left durable.
     pub fn seed(&self, id: SessionId, shard: u32, bytes: Vec<u8>) {
         let buf = self.buf(id, shard);
         let mut b = buf.lock().unwrap();
@@ -289,41 +249,27 @@ impl Write for MemWriter {
 }
 
 impl SessionStore for MemStore {
-    fn open(&self, id: SessionId, _name: &str, _attempt: u32) -> io::Result<Box<dyn Write + Send>> {
-        Ok(self.open_buf(id, 0))
-    }
-
-    fn durable(&self, id: SessionId) -> io::Result<Vec<u8>> {
-        self.durable_shard(id, 0)
-    }
-
-    fn open_shard(
+    fn open(
         &self,
         id: SessionId,
         _name: &str,
         _attempt: u32,
-        shard: u32,
-    ) -> io::Result<Box<dyn Write + Send>> {
-        Ok(self.open_buf(id, shard))
+        shards: u32,
+    ) -> io::Result<Vec<Box<dyn Write + Send>>> {
+        Ok((0..shards).map(|k| self.open_buf(id, k)).collect())
     }
 
-    fn durable_shard(&self, id: SessionId, shard: u32) -> io::Result<Vec<u8>> {
+    fn durable_stream(&self, id: SessionId, shard: u32) -> io::Result<Vec<u8>> {
         let buf = self.buf(id, shard);
         let b = buf.lock().unwrap();
         Ok(b.bytes[..b.durable].to_vec())
     }
 
-    fn open_resume(&self, id: SessionId, keep: u64) -> io::Result<Box<dyn Write + Send>> {
-        Ok(self.open_resume_buf(id, 0, keep))
-    }
-
-    fn open_resume_shard(
-        &self,
-        id: SessionId,
-        shard: u32,
-        keep: u64,
-    ) -> io::Result<Box<dyn Write + Send>> {
-        Ok(self.open_resume_buf(id, shard, keep))
+    fn open_resume(&self, id: SessionId, keeps: &[u64]) -> io::Result<Vec<Box<dyn Write + Send>>> {
+        Ok((0..)
+            .zip(keeps)
+            .map(|(k, &keep)| self.open_resume_buf(id, k, keep))
+            .collect())
     }
 }
 
@@ -366,9 +312,9 @@ pub struct Orphan {
     /// The session name parsed from the file name (for garbage, the raw
     /// file name).
     pub name: String,
-    /// The backing files: a single `.dprj` as `(None, path)`, or the
-    /// `.dprs` shard set as `(Some(shard), path)` in shard order.
-    pub files: Vec<(Option<u32>, PathBuf)>,
+    /// The backing streams as `(shard, path)` in shard order: a single
+    /// `.dprj` as shard 0, or the `.s{k}.dprs` shard set.
+    pub files: Vec<(u32, PathBuf)>,
     /// What the salvage scan concluded.
     pub class: OrphanClass,
 }
@@ -395,11 +341,12 @@ fn parse_shard_stem(stem: &str) -> Option<(u64, &str, u32)> {
     Some((id, name, shard.parse().ok()?))
 }
 
-/// A directory of `s{id:04}-{name}.dprj` files, one per session; sharded
-/// sessions write `s{id:04}-{name}.s{shard}.dprs` siblings instead.
+/// A directory of `s{id:04}-{name}.dprj` files, one per 1-shard session;
+/// a session recording `N >= 2` streams writes `s{id:04}-{name}.s{k}.dprs`
+/// siblings instead.
 pub struct DirStore {
     dir: PathBuf,
-    paths: Mutex<HashMap<(u64, Option<u32>), PathBuf>>,
+    paths: Mutex<HashMap<(u64, u32), PathBuf>>,
 }
 
 impl DirStore {
@@ -416,27 +363,16 @@ impl DirStore {
         })
     }
 
-    /// The journal path assigned to `id`, if it opened one.
-    pub fn path(&self, id: SessionId) -> Option<PathBuf> {
-        self.paths.lock().unwrap().get(&(id.0, None)).cloned()
+    /// The path of stream `shard` of `id`'s journal, if it opened one.
+    pub fn path(&self, id: SessionId, shard: u32) -> Option<PathBuf> {
+        self.paths.lock().unwrap().get(&(id.0, shard)).cloned()
     }
 
-    /// The path of one shard stream of `id`'s journal, if it opened one.
-    pub fn shard_path(&self, id: SessionId, shard: u32) -> Option<PathBuf> {
-        self.paths
-            .lock()
-            .unwrap()
-            .get(&(id.0, Some(shard)))
-            .cloned()
-    }
-
-    /// Registers an existing journal file as `id`'s backing path (shard
-    /// `None` = the single `.dprj` stream), so
-    /// [`durable`](SessionStore::durable) /
-    /// [`durable_shard`](SessionStore::durable_shard) — and therefore the
-    /// attach path — work for sessions adopted from a previous
+    /// Registers an existing file as stream `shard` of `id`'s journal, so
+    /// [`durable_stream`](SessionStore::durable_stream) — and therefore
+    /// the attach path — work for sessions adopted from a previous
     /// incarnation rather than opened by this one.
-    pub fn adopt_path(&self, id: SessionId, shard: Option<u32>, path: PathBuf) {
+    pub fn adopt_path(&self, id: SessionId, shard: u32, path: PathBuf) {
         self.paths.lock().unwrap().insert((id.0, shard), path);
     }
 
@@ -464,13 +400,12 @@ impl DirStore {
             Orphan {
                 id: None,
                 name,
-                files: vec![(None, path)],
+                files: vec![(0, path)],
                 class: OrphanClass::Garbage { reason },
             }
         };
         let mut orphans: Vec<Orphan> = Vec::new();
-        let mut singles: Vec<(u64, String, PathBuf)> = Vec::new();
-        let mut shard_sets: HashMap<(u64, String), Vec<(u32, PathBuf)>> = HashMap::new();
+        let mut sets: HashMap<(u64, String), Vec<(u32, PathBuf)>> = HashMap::new();
         for entry in std::fs::read_dir(&self.dir)? {
             let entry = entry?;
             let path = entry.path();
@@ -481,54 +416,30 @@ impl DirStore {
                 orphans.push(garbage(path, "non-UTF-8 file name".into()));
                 continue;
             };
-            if fname.ends_with(".tmp") {
-                orphans.push(garbage(
-                    path,
-                    "temporary leftover from an interrupted write".into(),
-                ));
+            let stream = if fname.ends_with(".tmp") {
+                Err("temporary leftover from an interrupted write")
             } else if entry.metadata()?.len() == 0 {
-                orphans.push(garbage(path, "zero-length file".into()));
+                Err("zero-length file")
             } else if let Some(stem) = fname.strip_suffix(".dprj") {
-                match parse_stem(stem) {
-                    Some((id, name)) => singles.push((id, name.to_string(), path)),
-                    None => orphans.push(garbage(path, "unrecognized journal name".into())),
-                }
+                parse_stem(stem)
+                    .map(|(id, name)| (id, name, 0))
+                    .ok_or("unrecognized journal name")
             } else if let Some(stem) = fname.strip_suffix(".dprs") {
-                match parse_shard_stem(stem) {
-                    Some((id, name, shard)) => shard_sets
-                        .entry((id, name.to_string()))
-                        .or_default()
-                        .push((shard, path)),
-                    None => orphans.push(garbage(path, "unrecognized shard-stream name".into())),
-                }
+                parse_shard_stem(stem).ok_or("unrecognized shard-stream name")
             } else {
-                orphans.push(garbage(path, "not a journal file".into()));
+                Err("not a journal file")
+            };
+            match stream {
+                Ok((id, name, shard)) => sets
+                    .entry((id, name.to_string()))
+                    .or_default()
+                    .push((shard, path)),
+                Err(reason) => orphans.push(garbage(path, reason.into())),
             }
         }
-        for (id, name, path) in singles {
-            let bytes = std::fs::read(&path)?;
-            let class = match JournalReader::salvage(&bytes) {
-                Ok(s) if s.clean => OrphanClass::Finalized {
-                    epochs: s.committed() as u32,
-                },
-                Ok(s) => OrphanClass::Salvageable {
-                    epochs: s.committed() as u32,
-                    detail: s.detail,
-                },
-                Err(e) => OrphanClass::Garbage {
-                    reason: e.to_string(),
-                },
-            };
-            orphans.push(Orphan {
-                id: Some(SessionId(id)),
-                name,
-                files: vec![(None, path)],
-                class,
-            });
-        }
-        for ((id, name), mut set) in shard_sets {
-            set.sort_by_key(|&(k, _)| k);
-            let bufs = set
+        for ((id, name), mut files) in sets {
+            files.sort_by_key(|&(k, _)| k);
+            let bufs = files
                 .iter()
                 .map(|(_, p)| std::fs::read(p))
                 .collect::<io::Result<Vec<Vec<u8>>>>()?;
@@ -547,7 +458,7 @@ impl DirStore {
             orphans.push(Orphan {
                 id: Some(SessionId(id)),
                 name,
-                files: set.into_iter().map(|(k, p)| (Some(k), p)).collect(),
+                files,
                 class,
             });
         }
@@ -555,101 +466,66 @@ impl DirStore {
         Ok(orphans)
     }
 
-    fn create(
+    fn registered(&self, id: SessionId, shard: u32) -> io::Result<PathBuf> {
+        self.path(id, shard).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("no journal stream {shard} for {id}"),
+            )
+        })
+    }
+}
+
+impl SessionStore for DirStore {
+    fn open(
         &self,
         id: SessionId,
         name: &str,
-        shard: Option<u32>,
-    ) -> io::Result<Box<dyn Write + Send>> {
+        _attempt: u32,
+        shards: u32,
+    ) -> io::Result<Vec<Box<dyn Write + Send>>> {
         // Session names come from workload names, but sanitize anyway so a
         // hostile name cannot escape the store directory.
         let safe: String = name
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
             .collect();
-        let file_name = match shard {
-            None => format!("{id}-{safe}.dprj"),
-            Some(k) => format!("{id}-{safe}.s{k}.dprs"),
-        };
-        let path = self.dir.join(file_name);
-        let file = File::create(&path)?;
-        self.paths.lock().unwrap().insert((id.0, shard), path);
-        Ok(Box::new(file))
+        (0..shards)
+            .map(|k| {
+                let file_name = if shards == 1 {
+                    format!("{id}-{safe}.dprj")
+                } else {
+                    format!("{id}-{safe}.s{k}.dprs")
+                };
+                let path = self.dir.join(file_name);
+                let file = File::create(&path)?;
+                self.adopt_path(id, k, path);
+                Ok(Box::new(file) as Box<dyn Write + Send>)
+            })
+            .collect()
     }
 
-    fn reopen_truncated(
-        &self,
-        id: SessionId,
-        shard: Option<u32>,
-        keep: u64,
-    ) -> io::Result<Box<dyn Write + Send>> {
-        let path = self
-            .paths
-            .lock()
-            .unwrap()
-            .get(&(id.0, shard))
-            .cloned()
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::NotFound, format!("no journal for {id}"))
-            })?;
-        let mut file = std::fs::OpenOptions::new().write(true).open(&path)?;
-        // Make the truncation to the salvaged prefix durable before any
-        // continuation byte can land after it — a crash between the two
-        // must leave the prefix, never prefix + stale tail + new tail.
-        file.set_len(keep)?;
-        file.sync_data()?;
-        io::Seek::seek(&mut file, io::SeekFrom::End(0))?;
-        Ok(Box::new(file))
+    fn durable_stream(&self, id: SessionId, shard: u32) -> io::Result<Vec<u8>> {
+        std::fs::read(self.registered(id, shard)?)
     }
 
-    fn read_back(&self, id: SessionId, shard: Option<u32>) -> io::Result<Vec<u8>> {
-        let path = self
-            .paths
-            .lock()
-            .unwrap()
-            .get(&(id.0, shard))
-            .cloned()
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::NotFound, format!("no journal for {id}"))
-            })?;
-        std::fs::read(path)
-    }
-}
-
-impl SessionStore for DirStore {
-    fn open(&self, id: SessionId, name: &str, _attempt: u32) -> io::Result<Box<dyn Write + Send>> {
-        self.create(id, name, None)
-    }
-
-    fn durable(&self, id: SessionId) -> io::Result<Vec<u8>> {
-        self.read_back(id, None)
-    }
-
-    fn open_shard(
-        &self,
-        id: SessionId,
-        name: &str,
-        _attempt: u32,
-        shard: u32,
-    ) -> io::Result<Box<dyn Write + Send>> {
-        self.create(id, name, Some(shard))
-    }
-
-    fn durable_shard(&self, id: SessionId, shard: u32) -> io::Result<Vec<u8>> {
-        self.read_back(id, Some(shard))
-    }
-
-    fn open_resume(&self, id: SessionId, keep: u64) -> io::Result<Box<dyn Write + Send>> {
-        self.reopen_truncated(id, None, keep)
-    }
-
-    fn open_resume_shard(
-        &self,
-        id: SessionId,
-        shard: u32,
-        keep: u64,
-    ) -> io::Result<Box<dyn Write + Send>> {
-        self.reopen_truncated(id, Some(shard), keep)
+    fn open_resume(&self, id: SessionId, keeps: &[u64]) -> io::Result<Vec<Box<dyn Write + Send>>> {
+        (0..)
+            .zip(keeps)
+            .map(|(k, &keep)| {
+                let mut file = std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(self.registered(id, k)?)?;
+                // Make the truncation to the salvaged prefix durable before
+                // any continuation byte can land after it — a crash between
+                // the two must leave the prefix, never prefix + stale tail +
+                // new tail.
+                file.set_len(keep)?;
+                file.sync_data()?;
+                io::Seek::seek(&mut file, io::SeekFrom::End(0))?;
+                Ok(Box::new(file) as Box<dyn Write + Send>)
+            })
+            .collect()
     }
 }
 
@@ -657,18 +533,28 @@ impl SessionStore for DirStore {
 mod tests {
     use super::*;
 
+    /// Opens the single stream of a 1-shard session.
+    fn open1(
+        store: &dyn SessionStore,
+        id: SessionId,
+        name: &str,
+        attempt: u32,
+    ) -> Box<dyn Write + Send> {
+        store.open(id, name, attempt, 1).unwrap().remove(0)
+    }
+
     #[test]
     fn mem_store_without_clock_is_fully_durable() {
         let store = MemStore::new();
         let id = SessionId(1);
-        let mut w = store.open(id, "a", 0).unwrap();
+        let mut w = open1(&store, id, "a", 0);
         w.write_all(b"hello").unwrap();
         w.flush().unwrap();
         drop(w);
         assert_eq!(store.durable(id).unwrap(), b"hello");
         assert_eq!(store.live(id), b"hello");
         // A retry truncates in place.
-        let mut w = store.open(id, "a", 1).unwrap();
+        let mut w = open1(&store, id, "a", 1);
         w.write_all(b"x").unwrap();
         drop(w);
         assert_eq!(store.durable(id).unwrap(), b"x");
@@ -679,7 +565,7 @@ mod tests {
         let clock = CrashClock::new(7);
         let store = MemStore::crashing(clock.clone());
         let id = SessionId(2);
-        let mut w = store.open(id, "b", 0).unwrap();
+        let mut w = open1(&store, id, "b", 0);
         w.write_all(b"abcde").unwrap(); // bytes 0..5: durable
         w.write_all(b"fghij").unwrap(); // bytes 5..10: 2 land, torn at 7
         w.write_all(b"klmno").unwrap(); // after the crash: lost
@@ -695,8 +581,8 @@ mod tests {
         let store = MemStore::crashing(clock);
         let a = SessionId(1);
         let b = SessionId(2);
-        let mut wa = store.open(a, "a", 0).unwrap();
-        let mut wb = store.open(b, "b", 0).unwrap();
+        let mut wa = open1(&store, a, "a", 0);
+        let mut wb = open1(&store, b, "b", 0);
         wa.write_all(b"111").unwrap(); // clock 0..3: durable
         wb.write_all(b"222").unwrap(); // clock 3..6: torn at 4
         wa.write_all(b"333").unwrap(); // clock 6..9: lost
@@ -709,37 +595,12 @@ mod tests {
         let clock = CrashClock::new(4);
         let store = MemStore::crashing(clock);
         let id = SessionId(7);
-        let mut w0 = store.open_shard(id, "s", 0, 0).unwrap();
-        let mut w1 = store.open_shard(id, "s", 0, 1).unwrap();
-        w0.write_all(b"111").unwrap(); // clock 0..3: durable
-        w1.write_all(b"222").unwrap(); // clock 3..6: torn at 4
-        w0.write_all(b"333").unwrap(); // clock 6..9: lost
-        assert_eq!(store.durable_shard(id, 0).unwrap(), b"111");
-        assert_eq!(store.durable_shard(id, 1).unwrap(), b"2");
-    }
-
-    #[test]
-    fn default_shard_methods_refuse() {
-        struct Plain;
-        impl SessionStore for Plain {
-            fn open(
-                &self,
-                _id: SessionId,
-                _name: &str,
-                _attempt: u32,
-            ) -> io::Result<Box<dyn Write + Send>> {
-                Ok(Box::new(Vec::new()))
-            }
-            fn durable(&self, _id: SessionId) -> io::Result<Vec<u8>> {
-                Ok(Vec::new())
-            }
-        }
-        let Err(err) = Plain.open_shard(SessionId(1), "x", 0, 0) else {
-            panic!("default open_shard must refuse");
-        };
-        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
-        let err = Plain.durable_shard(SessionId(1), 0).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+        let mut w = store.open(id, "s", 0, 2).unwrap();
+        w[0].write_all(b"111").unwrap(); // clock 0..3: durable
+        w[1].write_all(b"222").unwrap(); // clock 3..6: torn at 4
+        w[0].write_all(b"333").unwrap(); // clock 6..9: lost
+        assert_eq!(store.durable_stream(id, 0).unwrap(), b"111");
+        assert_eq!(store.durable_stream(id, 1).unwrap(), b"2");
     }
 
     #[test]
@@ -747,19 +608,19 @@ mod tests {
         let tmp = crate::testdir::TempDir::new("dpd-shard-test");
         let store = DirStore::new(tmp.path()).unwrap();
         let id = SessionId(5);
-        for k in 0..3u32 {
-            let mut w = store.open_shard(id, "job", 0, k).unwrap();
+        for (k, mut w) in store.open(id, "job", 0, 3).unwrap().into_iter().enumerate() {
             w.write_all(format!("shard{k}").as_bytes()).unwrap();
         }
         for k in 0..3u32 {
             assert_eq!(
-                store.durable_shard(id, k).unwrap(),
+                store.durable_stream(id, k).unwrap(),
                 format!("shard{k}").as_bytes()
             );
-            let path = store.shard_path(id, k).unwrap();
+            let path = store.path(id, k).unwrap();
             assert!(path.to_str().unwrap().ends_with(&format!(".s{k}.dprs")));
         }
-        assert!(store.durable(id).is_err(), "no single-stream journal");
+        assert_eq!(store.durable(id).unwrap(), b"shard0", "durable is stream 0");
+        assert!(store.durable_stream(id, 3).is_err(), "no fourth stream");
     }
 
     #[test]
@@ -795,9 +656,9 @@ mod tests {
         let clean = w.into_inner();
         {
             let old = DirStore::new(&dir).unwrap();
-            let mut f = old.open(SessionId(1), "done", 0).unwrap();
+            let mut f = open1(&old, SessionId(1), "done", 0);
             f.write_all(&clean).unwrap();
-            let mut f = old.open(SessionId(2), "cut", 0).unwrap();
+            let mut f = open1(&old, SessionId(2), "cut", 0);
             f.write_all(&clean[..clean.len() - 3]).unwrap();
         }
         // Crash leftovers that must be garbage, not wedge boot.
@@ -843,12 +704,12 @@ mod tests {
             assert_eq!(by_name(n).id, None);
         }
         // Files registered by this incarnation are not orphans.
-        let mut f = store.open(SessionId(9), "mine", 0).unwrap();
+        let mut f = open1(&store, SessionId(9), "mine", 0);
         f.write_all(&clean).unwrap();
         drop(f);
         assert_eq!(store.scan_orphans().unwrap().len(), 6);
         // Adoption registers the path so durable() works.
-        store.adopt_path(SessionId(1), None, done.files[0].1.clone());
+        store.adopt_path(SessionId(1), 0, done.files[0].1.clone());
         assert_eq!(store.durable(SessionId(1)).unwrap(), clean);
     }
 
@@ -861,9 +722,7 @@ mod tests {
         let cfg = DoublePlayConfig::new(2).epoch_cycles(600);
         {
             let old = DirStore::new(&dir).unwrap();
-            let sinks = (0..3u32)
-                .map(|k| old.open_shard(SessionId(5), "sharded", 0, k).unwrap())
-                .collect();
+            let sinks = old.open(SessionId(5), "sharded", 0, 3).unwrap();
             let mut w = ShardedJournalWriter::new(sinks, dp_core::DEFAULT_SHARD_BATCH).unwrap();
             record_to(&spec, &cfg, &mut w).unwrap();
         }
@@ -875,7 +734,7 @@ mod tests {
         assert_eq!(o.name, "sharded");
         assert_eq!(
             o.files.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            vec![Some(0), Some(1), Some(2)]
+            vec![0, 1, 2]
         );
         assert!(
             matches!(o.class, OrphanClass::Finalized { epochs } if epochs >= 1),
@@ -889,11 +748,11 @@ mod tests {
         let tmp = crate::testdir::TempDir::new("dpd-store-test");
         let store = DirStore::new(tmp.path()).unwrap();
         let id = SessionId(3);
-        let mut w = store.open(id, "we/ird name", 0).unwrap();
+        let mut w = open1(&store, id, "we/ird name", 0);
         w.write_all(b"journal").unwrap();
         drop(w);
         assert_eq!(store.durable(id).unwrap(), b"journal");
-        let path = store.path(id).unwrap();
+        let path = store.path(id, 0).unwrap();
         assert!(path
             .file_name()
             .unwrap()
@@ -912,19 +771,16 @@ mod tests {
                 _id: SessionId,
                 _name: &str,
                 _attempt: u32,
-            ) -> io::Result<Box<dyn Write + Send>> {
-                Ok(Box::new(Vec::new()))
+                _shards: u32,
+            ) -> io::Result<Vec<Box<dyn Write + Send>>> {
+                Ok(vec![Box::new(Vec::new())])
             }
-            fn durable(&self, _id: SessionId) -> io::Result<Vec<u8>> {
+            fn durable_stream(&self, _id: SessionId, _shard: u32) -> io::Result<Vec<u8>> {
                 Ok(Vec::new())
             }
         }
-        let Err(err) = Plain.open_resume(SessionId(1), 4) else {
+        let Err(err) = Plain.open_resume(SessionId(1), &[4]) else {
             panic!("default open_resume must refuse")
-        };
-        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
-        let Err(err) = Plain.open_resume_shard(SessionId(1), 0, 4) else {
-            panic!("default open_resume_shard must refuse")
         };
         assert_eq!(err.kind(), io::ErrorKind::Unsupported);
     }
@@ -934,16 +790,14 @@ mod tests {
         let store = MemStore::new();
         let id = SessionId(4);
         store.seed(id, 0, b"prefix+torn".to_vec());
-        let mut w = store.open_resume(id, 6).unwrap();
-        w.write_all(b"-more").unwrap();
+        // Streams truncate and append independently.
+        store.seed(id, 1, b"abcdef".to_vec());
+        let mut w = store.open_resume(id, &[6, 3]).unwrap();
+        w[0].write_all(b"-more").unwrap();
+        w[1].write_all(b"XY").unwrap();
         drop(w);
         assert_eq!(store.durable(id).unwrap(), b"prefix-more");
-        // Shard streams truncate and append independently.
-        store.seed(id, 1, b"abcdef".to_vec());
-        let mut w = store.open_resume_shard(id, 1, 3).unwrap();
-        w.write_all(b"XY").unwrap();
-        drop(w);
-        assert_eq!(store.durable_shard(id, 1).unwrap(), b"abcXY");
+        assert_eq!(store.durable_stream(id, 1).unwrap(), b"abcXY");
     }
 
     #[test]
@@ -951,13 +805,13 @@ mod tests {
         let tmp = crate::testdir::TempDir::new("dpd-resume-test");
         let store = DirStore::new(tmp.path()).unwrap();
         let id = SessionId(8);
-        let mut w = store.open(id, "r", 0).unwrap();
+        let mut w = open1(&store, id, "r", 0);
         w.write_all(b"prefix+torn-tail").unwrap();
         drop(w);
-        let mut w = store.open_resume(id, 6).unwrap();
-        w.write_all(b"-more").unwrap();
+        let mut w = store.open_resume(id, &[6]).unwrap();
+        w[0].write_all(b"-more").unwrap();
         drop(w);
         assert_eq!(store.durable(id).unwrap(), b"prefix-more");
-        assert!(store.open_resume(SessionId(99), 0).is_err());
+        assert!(store.open_resume(SessionId(99), &[0]).is_err());
     }
 }

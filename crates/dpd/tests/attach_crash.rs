@@ -7,12 +7,16 @@ mod common;
 
 use common::{solo_with_offsets, start_server};
 use dp_core::{DoublePlayConfig, JournalReader};
+use dp_dpd::proto::frame::{expect_hello, read_frame, send_hello, write_frame};
 use dp_dpd::{
-    Client, ClientError, Daemon, DaemonConfig, GuestRef, MemStore, ServerConfig, SessionState,
-    SessionStore, SubmitSpec,
+    Client, ClientError, Daemon, DaemonConfig, GuestRef, MemStore, Request, Response, ServerConfig,
+    SessionId, SessionState, SubmitSpec,
 };
 use dp_os::SinkFaults;
-use std::sync::Arc;
+use dp_support::wire::{from_bytes, to_bytes};
+use std::os::unix::net::UnixStream;
+use std::path::Path;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn counter_spec(name: &str, iters: i64, epoch_cycles: u64) -> SubmitSpec {
@@ -45,6 +49,27 @@ fn attach_streams_the_whole_journal_live_and_matches_solo() {
     client.shutdown().unwrap();
 }
 
+/// Attaches to `id` like [`Client::attach`], but appends every chunk to
+/// `out` the moment it arrives, so a test can watch what the attacher
+/// itself has received.
+fn attach_shared(path: &Path, id: SessionId, out: &Mutex<Vec<u8>>) -> Result<(), ClientError> {
+    let mut stream = UnixStream::connect(path).map_err(ClientError::Io)?;
+    send_hello(&mut stream).map_err(ClientError::Io)?;
+    expect_hello(&mut stream)?;
+    write_frame(&mut stream, &to_bytes(&Request::Attach { id })).map_err(ClientError::Io)?;
+    let mut buf = Vec::new();
+    loop {
+        read_frame(&mut stream, &mut buf)?;
+        match from_bytes::<Response>(&buf).map_err(|e| ClientError::Protocol(e.to_string()))? {
+            Response::AttachStart { .. } => {}
+            Response::AttachChunk { bytes, .. } => out.lock().unwrap().extend_from_slice(&bytes.0),
+            Response::AttachRestart => out.lock().unwrap().clear(),
+            Response::AttachEnd { .. } => return Ok(()),
+            other => return Err(ClientError::Protocol(format!("unexpected {other:?}"))),
+        }
+    }
+}
+
 #[test]
 fn severed_attach_stream_salvages_to_exactly_the_committed_epochs() {
     let daemon = Arc::new(Daemon::start(
@@ -63,32 +88,30 @@ fn severed_attach_stream_salvages_to_exactly_the_committed_epochs() {
     let (solo, offsets) = solo_with_offsets(&spec.to_session_spec().unwrap());
     let id = client.submit(&spec).unwrap();
 
+    let received = Arc::new(Mutex::new(Vec::new()));
     let attacher = std::thread::spawn({
         let path = path.clone();
-        move || {
-            let mut conn = Client::connect(&path).unwrap();
-            let mut bytes = Vec::new();
-            let result = conn.attach(id, &mut bytes);
-            (bytes, result)
-        }
+        let received = Arc::clone(&received);
+        move || attach_shared(&path, id, &received)
     });
 
-    // Wait until the journal has committed a few epochs, then kill the
-    // server mid-stream (the daemon's accept loop and every connection
-    // thread exit without sending AttachEnd).
-    let store = daemon.store();
+    // Wait until the *attacher* holds at least one committed epoch (what
+    // the store holds says nothing about what reached the client), then
+    // kill the server mid-stream (the daemon's accept loop and every
+    // connection thread exit without sending AttachEnd).
     let deadline = Instant::now() + Duration::from_secs(60);
-    while store.durable(id).map(|b| b.len()).unwrap_or(0) < offsets[2] as usize {
+    while received.lock().unwrap().len() < offsets[0] as usize {
         assert!(
             Instant::now() < deadline,
-            "session never committed 3 epochs"
+            "attacher never received a committed epoch"
         );
         std::thread::sleep(Duration::from_millis(2));
     }
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();
 
-    let (prefix, result) = attacher.join().unwrap();
+    let result = attacher.join().unwrap();
+    let prefix = received.lock().unwrap().clone();
     match result {
         Err(ClientError::Frame(_)) | Err(ClientError::Io(_)) => {}
         other => panic!("stream should have been severed, got {other:?}"),

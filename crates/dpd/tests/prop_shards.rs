@@ -174,7 +174,7 @@ fn daemon_wide_crash_salvages_every_shard_set_to_its_consistent_prefix() {
                 specs.iter().zip(&oracles).zip(&ids)
             {
                 let durable: Vec<Vec<u8>> = (0..*shards)
-                    .map(|k| store.durable_shard(id, k).unwrap())
+                    .map(|k| store.durable_stream(id, k).unwrap())
                     .collect();
                 // Each shard's durability is a prefix of its deterministic
                 // solo stream: daemon concurrency must not leak into any
@@ -284,7 +284,7 @@ fn sharded_sessions_finalize_clean_without_a_crash() {
             r.error
         );
         let bufs: Vec<Vec<u8>> = (0..*shards)
-            .map(|k| store.durable_shard(id, k).unwrap())
+            .map(|k| store.durable_stream(id, k).unwrap())
             .collect();
         let salv = JournalReader::salvage_shards(&bufs).unwrap();
         assert!(salv.clean);

@@ -15,7 +15,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let case = webserve::build(2, Size::Small);
     let config = DoublePlayConfig::new(2).epoch_cycles(150_000);
 
-    // Record while streaming every committed epoch into a DPRJ journal:
+    // Record while streaming every committed epoch into a journal:
     // if this process dies mid-run, the journal retains the committed
     // prefix instead of losing everything.
     let jpath = std::env::temp_dir().join("webserve.dprj");
@@ -68,6 +68,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // commit rule guarantees we recover exactly the epochs whose commit
     // markers reached the disk — each one bit-identical to the real run.
     let journal_bytes = std::fs::read(&jpath)?;
+    // The finalized journal *is* the saved recording, byte for byte.
+    assert_eq!(journal_bytes, std::fs::read(&path)?);
     let torn = &journal_bytes[..journal_bytes.len() * 8 / 10];
     let salvaged = JournalReader::salvage(torn)?;
     println!(

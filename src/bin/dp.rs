@@ -32,25 +32,26 @@
 //! replay-based analyses need it again (with the same parameters) because
 //! recordings carry only a program hash, not the program itself.
 //!
-//! `--journal` streams the recording to a crash-consistent `DPRJ` journal
-//! while it is produced; `dp salvage` recovers the committed epoch prefix
-//! from a journal a crash left behind. Adding `--journal-shards N` splits
-//! the journal into `N` group-committed `DPRS` shard streams
-//! (`FILE.s0`..`FILE.s{N-1}`) appended by independent lanes — far fewer
-//! flushes at the same durability grain — and `dp salvage FILE.s0`
-//! gathers the sibling shards and reconstructs the longest *consistent
-//! cross-shard prefix*. Every output file is written atomically
-//! (`<path>.tmp` + rename) except the journal itself, whose entire point
-//! is to be written incrementally.
+//! Every recording file is a `DPRS` recording stream: `--out` writes a
+//! finalized one, and `--journal` streams the same bytes to a
+//! crash-consistent journal while the recording is produced; `dp salvage`
+//! recovers the committed epoch prefix from a journal a crash left
+//! behind. Adding `--journal-shards N` splits the journal into `N`
+//! group-committed streams (`FILE.s0`..`FILE.s{N-1}`) appended by
+//! independent lanes — far fewer flushes at the same durability grain —
+//! and `dp salvage FILE.s0` gathers the sibling shards and reconstructs
+//! the longest *consistent cross-shard prefix*. Every output file is
+//! written atomically (`<path>.tmp` + rename) except the journal itself,
+//! whose entire point is to be written incrementally.
 //!
 //! `dp serve` runs the `dpd` multi-session service in-process: it admits
 //! a batch of mixed-workload sessions (cycling priorities and, with
 //! `--faults`, per-session decorrelated fault plans) against a shared
-//! verify-core pool, streams one `DPRJ` journal per session into `--dir`,
-//! and prints the final session table. `dp sessions <DIR>` is the
-//! post-mortem view: it salvages every single-stream journal in the
-//! directory independently and merges every `.s<K>.dprs` shard set it
-//! finds — exactly what you run after killing a serve mid-flight.
+//! verify-core pool, streams one journal per session into `--dir`, and
+//! prints the final session table. `dp sessions <DIR>` is the post-mortem
+//! view: it salvages every `.dprj` journal in the directory independently
+//! and merges every `.s<K>.dprs` shard set it finds — exactly what you run
+//! after killing a serve mid-flight.
 //!
 //! With `--socket PATH`, `dp serve` instead becomes a long-lived `dpnet`
 //! daemon: it re-adopts any journals a previous incarnation left in
@@ -72,6 +73,7 @@
 //! message; a missing or truncated recording file is never a panic.
 
 use doubleplay::analyze;
+use doubleplay::core::group_commit;
 use doubleplay::prelude::*;
 use doubleplay::workloads::{racy_suite, suite};
 use std::process::exit;
@@ -100,9 +102,9 @@ fn write_atomic(cmd: &str, path: &str, bytes: &[u8]) {
         .unwrap_or_else(|e| fail(cmd, format_args!("cannot rename `{tmp}` to `{path}`: {e}")));
 }
 
-/// Reads and parses a recording in any container format (`DPRC`, compact
-/// `DPRZ`, or a finalized `DPRJ` journal), failing with a structured error
-/// instead of panicking.
+/// Reads and parses a recording (a saved recording or finalized journal,
+/// or a compact `DPRZ` file), failing with a structured error instead of
+/// panicking.
 fn load_recording(cmd: &str, path: &str) -> Recording {
     let bytes = std::fs::read(path)
         .unwrap_or_else(|e| fail(cmd, format_args!("cannot read `{path}`: {e}")));
@@ -111,7 +113,7 @@ fn load_recording(cmd: &str, path: &str) -> Recording {
 }
 
 /// Splits a `BASE.s<K>` shard-stream path into its base journal path, for
-/// gathering the sibling shards of a `DPRS` set.
+/// gathering the sibling streams of a shard set.
 fn shard_base(path: &str) -> Option<&str> {
     let (base, k) = path.rsplit_once(".s")?;
     (!k.is_empty() && k.bytes().all(|b| b.is_ascii_digit())).then_some(base)
@@ -444,7 +446,7 @@ fn cmd_serve_socket(o: &Opts, socket: &str) {
 }
 
 /// `dp serve`: run the `dpd` multi-session service over the mixed
-/// workload suite, one `DPRJ` journal per session in `--dir`.
+/// workload suite, one journal per session in `--dir`.
 fn cmd_serve(o: &Opts) {
     use doubleplay::dpd::guests;
     use std::sync::Arc;
@@ -505,9 +507,7 @@ fn cmd_serve(o: &Opts) {
                 _ => Priority::Low,
             })
             .restart_budget(2);
-        if o.journal_shards >= 2 {
-            spec = spec.journal_shards(o.journal_shards);
-        }
+        spec = spec.journal_shards(o.journal_shards);
         match daemon.submit_retrying(spec, 10_000) {
             Ok(id) => ids.push(id),
             Err(e) => fail("serve", format_args!("session {i} not admitted: {e}")),
@@ -522,8 +522,7 @@ fn cmd_serve(o: &Opts) {
         println!("  id     workload              prio    state      att  epochs  journal");
         for row in daemon.sessions() {
             let journal = store
-                .path(row.id)
-                .or_else(|| store.shard_path(row.id, 0))
+                .path(row.id, 0)
                 .map(|p| p.display().to_string())
                 .unwrap_or_else(|| "-".to_string());
             println!(
@@ -615,9 +614,7 @@ fn cmd_submit(name: &str, o: &Opts) {
     }
     let mut spec = SubmitSpec::new(name, guest, config);
     spec.priority = o.priority;
-    if o.journal_shards >= 2 {
-        spec.journal_shards = o.journal_shards;
-    }
+    spec.journal_shards = o.journal_shards;
     let mut client = connect("submit", socket);
     let id = client
         .submit_retrying(&spec, 500)
@@ -722,85 +719,47 @@ fn cmd_sessions_socket(o: &Opts) {
     print_sessions(&rows, &notes, o.json);
 }
 
-/// `dp sessions <DIR>`: salvage every `.dprj` journal in a serve
-/// directory independently, and merge every `.s<K>.dprs` shard set to
-/// its longest consistent cross-shard prefix — the post-mortem view
-/// after a daemon crash.
+/// `dp sessions <DIR>`: salvage every journal in a serve directory
+/// independently — a `.dprj` file alone, each `.s<K>.dprs` shard set
+/// merged to its longest consistent cross-shard prefix — the post-mortem
+/// view after a daemon crash.
 fn cmd_sessions(dir: &str) {
     let entries = std::fs::read_dir(dir)
         .unwrap_or_else(|e| fail("sessions", format_args!("cannot read `{dir}`: {e}")));
-    let mut paths = Vec::new();
-    let mut shard_bases = std::collections::BTreeSet::new();
+    // One row per journal: its display name and its stream files.
+    let mut journals: std::collections::BTreeMap<String, Vec<std::path::PathBuf>> =
+        std::collections::BTreeMap::new();
     for path in entries.filter_map(|e| e.ok().map(|e| e.path())) {
-        match path.extension() {
-            Some(x) if x == "dprj" => paths.push(path),
-            Some(x) if x == "dprs" => {
-                // `NAME.s<K>.dprs` — one row per NAME, not per shard.
-                let s = path.display().to_string();
-                if let Some(base) = s.strip_suffix(".dprs").and_then(shard_base) {
-                    shard_bases.insert(base.to_string());
-                }
-            }
-            _ => {}
-        }
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        let row = if name.ends_with(".dprj") {
+            name.to_string()
+        } else if let Some(base) = name.strip_suffix(".dprs").and_then(shard_base) {
+            format!("{base}.s*")
+        } else {
+            continue;
+        };
+        journals.entry(row).or_default().push(path);
     }
-    paths.sort();
-    if paths.is_empty() && shard_bases.is_empty() {
+    if journals.is_empty() {
         fail(
             "sessions",
             format_args!("no .dprj journals or .dprs shard sets in `{dir}`"),
         );
     }
     println!("  journal                                   epochs   salvaged    dropped  status");
-    let mut total = 0usize;
     let mut recovered = 0usize;
-    for path in &paths {
-        total += 1;
-        let name = path.file_name().unwrap_or_default().to_string_lossy();
-        let bytes = match std::fs::read(path) {
+    for (name, files) in &journals {
+        let bufs = match files
+            .iter()
+            .map(std::fs::read)
+            .collect::<Result<Vec<_>, _>>()
+        {
             Ok(b) => b,
             Err(e) => {
                 println!("  {name:40} unreadable: {e}");
                 continue;
             }
         };
-        match JournalReader::salvage(&bytes) {
-            Ok(s) => {
-                recovered += 1;
-                let status = if s.clean { "clean" } else { &*s.detail };
-                println!(
-                    "  {:40} {:6} {:10} {:10}  {}",
-                    name,
-                    s.committed(),
-                    s.salvaged_bytes,
-                    s.dropped_bytes,
-                    status
-                );
-            }
-            Err(e) => println!("  {name:40} unsalvageable: {e}"),
-        }
-    }
-    for base in &shard_bases {
-        total += 1;
-        let mut bufs = Vec::new();
-        loop {
-            let p = format!("{base}.s{}.dprs", bufs.len());
-            match std::fs::read(&p) {
-                Ok(b) => bufs.push(b),
-                Err(_) => break,
-            }
-        }
-        let name = format!(
-            "{}.s*",
-            std::path::Path::new(base)
-                .file_name()
-                .unwrap_or_default()
-                .to_string_lossy()
-        );
-        if bufs.is_empty() {
-            println!("  {name:40} shard 0 unreadable");
-            continue;
-        }
         match JournalReader::salvage_shards(&bufs) {
             Ok(s) => {
                 recovered += 1;
@@ -817,7 +776,10 @@ fn cmd_sessions(dir: &str) {
             Err(e) => println!("  {name:40} unsalvageable: {e}"),
         }
     }
-    println!("{recovered}/{total} journals recovered independently");
+    println!(
+        "{recovered}/{} journals recovered independently",
+        journals.len()
+    );
 }
 
 fn main() {
@@ -853,63 +815,52 @@ fn main() {
             // file as it happens; a crash mid-run leaves a salvageable
             // prefix instead of nothing. The journal is written in place
             // (it IS the incremental artifact); the final recording below
-            // is still written atomically. With --journal-shards N, the
-            // stream splits across `FILE.s0`..`FILE.s{N-1}` shard lanes
-            // that group-commit their flushes.
+            // is still written atomically, and a finalized 1-stream journal
+            // is byte-identical to it. With --journal-shards N, the stream
+            // splits across `FILE.s0`..`FILE.s{N-1}` lanes that
+            // group-commit their flushes.
             if o.journal_shards >= 2 && o.journal.is_none() {
                 fail("record", "--journal-shards requires --journal FILE");
             }
             let result = match &o.journal {
-                Some(jpath) if o.journal_shards >= 2 => {
-                    let shards = o.journal_shards;
-                    let writers: Vec<_> = (0..shards)
-                        .map(|k| {
-                            let p = format!("{jpath}.s{k}");
-                            let file = std::fs::File::create(&p).unwrap_or_else(|e| {
+                Some(jpath) => {
+                    // One stream is `FILE` itself; N streams are `FILE.s<K>`.
+                    let shards = o.journal_shards.max(1);
+                    let paths: Vec<String> = if shards == 1 {
+                        vec![jpath.clone()]
+                    } else {
+                        (0..shards).map(|k| format!("{jpath}.s{k}")).collect()
+                    };
+                    let files = paths.join(", ");
+                    let writers: Vec<_> = paths
+                        .iter()
+                        .map(|p| {
+                            let file = std::fs::File::create(p).unwrap_or_else(|e| {
                                 fail("record", format_args!("cannot create `{p}`: {e}"))
                             });
                             std::io::BufWriter::new(file)
                         })
                         .collect();
-                    let mut sink = ShardedJournalWriter::threaded(writers, DEFAULT_SHARD_BATCH)
+                    let mut sink = ShardedJournalWriter::threaded(writers, group_commit(shards))
                         .unwrap_or_else(|e| {
-                            fail("record", format_args!("cannot write `{jpath}.s0`: {e}"))
+                            fail("record", format_args!("cannot write `{files}`: {e}"))
                         });
                     let r = record_to(&case.spec, &config, &mut sink);
                     let flushes = sink.flushes();
                     let epochs = sink.epochs_committed();
-                    let lanes = sink.into_writers();
-                    match (&r, lanes) {
+                    match (&r, sink.into_writers()) {
                         (Ok(_), Err(e)) => {
-                            fail("record", format_args!("journal shard lane failed: {e}"))
+                            fail("record", format_args!("journal stream lane failed: {e}"))
                         }
                         (Err(_), _) => eprintln!(
-                            "note: shard journals `{jpath}.s0`..`{jpath}.s{}` retain every \
-                             consistent epoch; recover with `dp salvage {jpath}.s0`",
-                            shards - 1
+                            "note: journal `{files}` retains every committed epoch; \
+                             recover with `dp salvage {}`",
+                            paths[0]
                         ),
                         (Ok(_), Ok(_)) => println!(
-                            "journal {jpath}.s0..s{}: {epochs} epoch(s) across {shards} \
-                             shard(s), {flushes} group-committed flush(es)",
-                            shards - 1
+                            "journal {files} finalized: {epochs} epoch(s) across {shards} \
+                             stream(s), {flushes} flush(es)"
                         ),
-                    }
-                    r
-                }
-                Some(jpath) => {
-                    let file = std::fs::File::create(jpath).unwrap_or_else(|e| {
-                        fail("record", format_args!("cannot create `{jpath}`: {e}"))
-                    });
-                    let mut sink = JournalWriter::new(std::io::BufWriter::new(file))
-                        .unwrap_or_else(|e| {
-                            fail("record", format_args!("cannot write `{jpath}`: {e}"))
-                        });
-                    let r = record_to(&case.spec, &config, &mut sink);
-                    if r.is_err() {
-                        eprintln!(
-                            "note: journal `{jpath}` retains every committed epoch; \
-                             recover with `dp salvage {jpath}`"
-                        );
                     }
                     r
                 }
@@ -945,11 +896,6 @@ fn main() {
                     s.wall.wall_ns as f64 / 1e6
                 );
             }
-            if let Some(jpath) = &o.journal {
-                if o.journal_shards < 2 {
-                    println!("journal {jpath} finalized");
-                }
-            }
             let path = o.out.unwrap_or_else(|| format!("{name}.dprec"));
             let mut buf = Vec::new();
             bundle
@@ -964,62 +910,47 @@ fn main() {
             let o = parse_opts(&argv[2..]);
             let bytes = std::fs::read(path)
                 .unwrap_or_else(|e| fail("salvage", format_args!("cannot read `{path}`: {e}")));
-            // A DPRS shard stream names its siblings: `BASE.s0`..`BASE.s*`.
-            // Gather them all and reconstruct the longest consistent
-            // cross-shard prefix; a classic DPRJ file salvages alone.
-            let (recording, out_default) = if bytes.starts_with(&SHARD_MAGIC) {
-                let Some(base) = shard_base(path) else {
-                    fail(
-                        "salvage",
-                        format_args!(
-                            "`{path}` is a DPRS shard stream but is not named `BASE.s<K>`; \
-                             restore the shard set's `BASE.s0`..`BASE.s<N-1>` names"
-                        ),
-                    );
-                };
-                let mut bufs = Vec::new();
-                loop {
-                    let p = format!("{base}.s{}", bufs.len());
-                    match std::fs::read(&p) {
-                        Ok(b) => bufs.push(b),
-                        Err(_) => break,
-                    }
+            // A stream declares its shard count. One stream salvages
+            // alone; a stream of a shard set is named `BASE.s<K>`, and its
+            // siblings `BASE.s0`..`BASE.s<N-1>` merge to the longest
+            // consistent cross-shard prefix.
+            let alone = JournalReader::salvage(&bytes);
+            let (salvaged, base) = match (alone, shard_base(path)) {
+                (Ok(s), _) if s.shard_count == 1 => (s, path.as_str()),
+                (_, Some(base)) => {
+                    let bufs: Vec<Vec<u8>> = (0..)
+                        .map_while(|k| std::fs::read(format!("{base}.s{k}")).ok())
+                        .collect();
+                    let s = JournalReader::salvage_shards(&bufs).unwrap_or_else(|e| {
+                        fail(
+                            "salvage",
+                            format_args!("cannot salvage shard set `{base}.s*`: {e}"),
+                        )
+                    });
+                    (s, base)
                 }
-                if bufs.is_empty() {
-                    fail("salvage", format_args!("cannot read `{base}.s0`"));
-                }
-                let salvaged = JournalReader::salvage_shards(&bufs).unwrap_or_else(|e| {
-                    fail(
-                        "salvage",
-                        format_args!("cannot salvage shard set `{base}.s*`: {e}"),
-                    )
-                });
-                println!(
-                    "{base}.s0..s{}: {} committed epoch(s) across {} shard(s), \
-                     {} bytes salvaged, {} bytes dropped, \
-                     {} durable-but-inconsistent epoch(s) ({})",
-                    bufs.len() - 1,
-                    salvaged.committed(),
-                    salvaged.shard_count,
-                    salvaged.salvaged_bytes,
-                    salvaged.dropped_bytes,
-                    salvaged.dropped_epochs,
-                    salvaged.detail
-                );
-                (salvaged.recording, format!("{base}.dprec"))
-            } else {
-                let salvaged = JournalReader::salvage(&bytes).unwrap_or_else(|e| {
-                    fail("salvage", format_args!("cannot salvage `{path}`: {e}"))
-                });
-                println!(
-                    "{path}: {} committed epoch(s), {} bytes salvaged, {} bytes dropped ({})",
-                    salvaged.committed(),
-                    salvaged.salvaged_bytes,
-                    salvaged.dropped_bytes,
-                    salvaged.detail
-                );
-                (salvaged.recording, format!("{path}.dprec"))
+                (Ok(s), None) => fail(
+                    "salvage",
+                    format_args!(
+                        "`{path}` is one of {} shard streams but is not named `BASE.s<K>`; \
+                         restore the shard set's `BASE.s0`..`BASE.s<N-1>` names",
+                        s.shard_count
+                    ),
+                ),
+                (Err(e), None) => fail("salvage", format_args!("cannot salvage `{path}`: {e}")),
             };
+            println!(
+                "{path}: {} committed epoch(s) across {} stream(s), {} bytes salvaged, \
+                 {} bytes dropped, {} durable-but-inconsistent epoch(s) ({})",
+                salvaged.committed(),
+                salvaged.shard_count,
+                salvaged.salvaged_bytes,
+                salvaged.dropped_bytes,
+                salvaged.dropped_epochs,
+                salvaged.detail
+            );
+            let recording = salvaged.recording;
+            let out_default = format!("{base}.dprec");
             let out = o.out.unwrap_or(out_default);
             let mut buf = Vec::new();
             recording

@@ -69,7 +69,7 @@ pub mod prelude {
         measure_native, record, record_to, replay_parallel, replay_sequential, replay_to_point,
         validate_worker_counts, ConfigError, DoublePlayConfig, FaultPlan, GuestSpec, JournalReader,
         JournalWriter, RecordError, RecorderStats, Recording, RecordingBundle, ReplayError,
-        Salvaged, SaveError, ShardSalvaged, ShardedJournalWriter, DEFAULT_SHARD_BATCH, SHARD_MAGIC,
+        Salvaged, SaveError, ShardedJournalWriter, DEFAULT_SHARD_BATCH,
     };
     pub use dp_dpd::{
         AdmitError, Daemon, DaemonConfig, DirStore, MemStore, Priority, SessionSpec, SessionState,
