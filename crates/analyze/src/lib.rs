@@ -16,22 +16,14 @@
 //!   access pair in a recording whose epochs rolled back;
 //! * [`inspect`] — per-epoch schedule/syscall summaries of one recording;
 //! * [`diff`] — structural comparison of two recordings of the same
-//!   program (first diverging epoch, event index, byte offset);
-//! * [`compact`] — lossless log compaction (run-length canonicalization of
-//!   same-thread slices plus a tighter varint re-encode, saved as the
-//!   `DPRZ` container) with a round-trip guarantee: compacted recordings
-//!   replay to identical final-state hashes.
+//!   program (first diverging epoch, event index, byte offset).
 
 #![warn(missing_docs)]
 
-pub mod compact;
 pub mod diff;
 pub mod inspect;
 pub mod race;
 
-pub use compact::{
-    compact, load_any, load_any_reader, load_compact, save_compact, CompactionStats,
-};
 pub use diff::{diff, DivergencePoint, RecordingDiff};
 pub use inspect::{inspect, EpochSummary, InspectReport};
 pub use race::{detect_races, triage, AccessSite, Race, RaceReport, Triage};

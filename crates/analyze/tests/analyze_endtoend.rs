@@ -1,15 +1,14 @@
 //! End-to-end and property tests for the analysis subsystem: race
-//! detection on real workloads, compaction round-trips, and recording
+//! detection on real workloads, recording inspection, and recording
 //! diffs.
 
-use dp_analyze::{compact, detect_races, diff, inspect, load_any, save_compact, triage};
-use dp_core::logs::{codec, ScheduleLog};
-use dp_core::{record, replay_sequential, DoublePlayConfig, GuestSpec};
+use dp_analyze::{detect_races, diff, inspect, triage};
+use dp_core::{record, DoublePlayConfig, GuestSpec};
 use dp_os::guest::Rt;
 use dp_os::{abi, kernel::WorldConfig};
 use dp_support::check::check;
 use dp_vm::builder::ProgramBuilder;
-use dp_vm::{Reg, Tid, Width};
+use dp_vm::{Reg, Width};
 use dp_workloads::{racy_suite, suite, Size};
 use std::sync::Arc;
 
@@ -157,68 +156,6 @@ fn prop_racey_workload_always_races() {
         assert!(
             report.is_racy(),
             "racey-counter must race under any schedule"
-        );
-    });
-}
-
-#[test]
-fn prop_compaction_roundtrip_preserves_replay() {
-    check("compaction_roundtrip", 4, |g| {
-        let name = *g.pick(&["racey-counter", "pfscan", "radix"]);
-        let case = case_by_name(name, 2);
-        let config = DoublePlayConfig::new(2)
-            .epoch_cycles(g.range(20_000, 100_000))
-            .hidden_seed(g.u64());
-        let bundle = record(&case.spec, &config).unwrap();
-        let before = replay_sequential(&bundle.recording, &case.spec.program).unwrap();
-
-        let (canonical, stats) = compact(&bundle.recording);
-        assert!(
-            stats.schedule_bytes_after < stats.schedule_bytes_before,
-            "{name}: compaction must shrink schedule bytes ({} -> {})",
-            stats.schedule_bytes_before,
-            stats.schedule_bytes_after
-        );
-        let after = replay_sequential(&canonical, &case.spec.program).unwrap();
-        assert_eq!(after.final_hash, before.final_hash, "{name}: in-memory");
-
-        // Container round-trip: save compact, load, replay again.
-        let mut buf = Vec::new();
-        save_compact(&bundle.recording, &mut buf).unwrap();
-        let loaded = load_any(&buf).unwrap();
-        let replayed = replay_sequential(&loaded, &case.spec.program).unwrap();
-        assert_eq!(
-            replayed.final_hash, before.final_hash,
-            "{name}: container round-trip"
-        );
-        assert_eq!(replayed.instructions, before.instructions);
-    });
-}
-
-#[test]
-fn prop_v2_codec_roundtrips_random_schedules() {
-    check("v2_codec_roundtrip", 64, |g| {
-        let mut log = ScheduleLog::new();
-        let quantum = g.range(1, 5_000);
-        for _ in 0..g.range(0, 200) {
-            let tid = Tid(g.below(40) as u32);
-            match g.below(10) {
-                0 => log.push_wake(tid),
-                1 => log.push_signal(tid, g.below(32)),
-                // Mostly quantum-sized slices, as the recorder produces.
-                _ if g.prob(0.7) => log.push_slice(tid, quantum),
-                _ => {
-                    let magnitude = g.range(1, 40);
-                    log.push_slice(tid, g.range(1, 1 << magnitude));
-                }
-            }
-        }
-        let v2 = dp_analyze::compact::encode_schedule_compact(&log);
-        let back = dp_analyze::compact::decode_schedule_compact(&v2).unwrap();
-        assert_eq!(back, log);
-        assert!(
-            v2.len() <= codec::encode_schedule(&log).len(),
-            "v2 must never be larger than v1"
         );
     });
 }

@@ -544,19 +544,19 @@ pub fn table_faults(size: Size) -> Table {
     t
 }
 
-/// E11 / Table: offline analysis — race detection and log compaction.
+/// E11 / Table: offline analysis — race detection.
 ///
-/// Runs the `dp-analyze` subsystem over fresh recordings of the sync-heavy
-/// and racy workloads: vector-clock race detection (races found, detector
-/// wall-clock vs. a plain verified replay of the same recording) and
-/// lossless schedule compaction (v1 vs. compact bytes, with the compacted
-/// recording replayed to prove the round trip).
+/// Runs the `dp-analyze` race detector over fresh recordings of the
+/// sync-heavy and racy workloads: races found, and detector wall-clock vs.
+/// a plain verified replay of the same recording. Each recording is also
+/// saved and loaded back, and the loaded copy replayed, to show the
+/// schedule log's encoding round-trips.
 pub fn table_analyze(size: Size) -> Table {
     let mut t = Table::new(
-        "E11 / Table: offline analysis — races & compaction (2 threads)",
+        "E11 / Table: offline analysis — races (2 threads)",
         "racy workloads report races with full site info, synchronized ones \
-         report none; compaction shrinks every schedule and still replays \
-         to the identical final hash",
+         report none; every saved recording loads and replays to the \
+         identical final hash",
         &[
             "workload",
             "races",
@@ -565,8 +565,6 @@ pub fn table_analyze(size: Size) -> Table {
             "replay ms",
             "overhead",
             "sched bytes",
-            "compact",
-            "ratio",
             "replay ok",
         ],
     );
@@ -592,10 +590,12 @@ pub fn table_analyze(size: Size) -> Table {
             .expect("race detection failed");
         let detect_t = t0.elapsed();
 
-        let (canonical, stats) = dp_analyze::compact(&bundle.recording);
-        let compact_ok = replay_sequential(&canonical, &case.spec.program)
-            .map(|r| r.final_hash == plain.final_hash)
-            .unwrap_or(false);
+        let mut saved = Vec::new();
+        bundle.recording.save(&mut saved).expect("save failed");
+        let replay_ok = dp_core::Recording::load(&saved[..])
+            .ok()
+            .and_then(|loaded| replay_sequential(&loaded, &case.spec.program).ok())
+            .is_some_and(|r| r.final_hash == plain.final_hash);
         t.row(vec![
             case.name.to_string(),
             report.races.len().to_string(),
@@ -606,10 +606,8 @@ pub fn table_analyze(size: Size) -> Table {
                 "{:.2}x",
                 detect_t.as_secs_f64() / replay_t.as_secs_f64().max(1e-9)
             ),
-            stats.schedule_bytes_before.to_string(),
-            stats.schedule_bytes_after.to_string(),
-            format!("{:.2}x", stats.ratio()),
-            compact_ok.to_string(),
+            bundle.recording.schedule_bytes().to_string(),
+            replay_ok.to_string(),
         ]);
     }
     t

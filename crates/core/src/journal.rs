@@ -344,17 +344,19 @@ mod tests {
             Err(ReplayError::Corrupt { .. })
         ));
         // Version-2 files of every pre-v3 magic — the monolithic `DPRC`
-        // recording, the `DPRJ` journal, and the `DPRS` stream — are not
+        // recording, the `DPRJ` journal, and the `DPRS` stream — and v3
+        // streams, whose schedule logs predate the lead-byte codec, are not
         // corruption: each must surface as the typed version error.
         let (buf, _) = journal_bytes(true);
-        for (magic, container) in [
-            (*b"DPRC", "recording"),
-            (*b"DPRJ", "journal"),
-            (*b"DPRS", "recording stream"),
+        for (magic, container, version) in [
+            (*b"DPRC", "recording", 2),
+            (*b"DPRJ", "journal", 2),
+            (*b"DPRS", "recording stream", 2),
+            (*b"DPRS", "recording stream", 3),
         ] {
             let mut old = buf.clone();
             old[..4].copy_from_slice(&magic);
-            old[4..8].copy_from_slice(&2u32.to_le_bytes());
+            old[4..8].copy_from_slice(&u32::to_le_bytes(version));
             for result in [
                 JournalReader::salvage(&old).err(),
                 crate::Recording::load(&old[..]).err(),
@@ -366,8 +368,8 @@ mod tests {
                         expected,
                     }) => {
                         assert_eq!(c, container);
-                        assert_eq!(found, 2);
-                        assert_eq!(expected, 3);
+                        assert_eq!(found, version);
+                        assert_eq!(expected, 4);
                     }
                     other => panic!("{container}: expected UnsupportedVersion, got {other:?}"),
                 }

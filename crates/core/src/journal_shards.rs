@@ -13,7 +13,7 @@
 //! commit stage only serializes the frames and hands them off; the flush
 //! leaves the hot path entirely.
 //!
-//! ## Stream format (version 3)
+//! ## Stream format (version 4)
 //!
 //! ```text
 //! stream := magic "DPRS" | version u32 le | frame*
@@ -26,6 +26,9 @@
 //! tag 3 COMMIT  payload = epoch index u32 le ++ crc32(epoch payload) u32 le
 //! tag 4 FINAL   payload = total epoch count u32 le    (every stream, on finish)
 //! ```
+//!
+//! `wire(EpochRecord)` carries the schedule and syscall logs as a varint
+//! length plus their [`crate::logs::codec`] bytes.
 //!
 //! Only shard 0 carries the full header (`full == 1`: meta plus the
 //! initial checkpoint); every stream carries the identity hashes, so a
@@ -63,8 +66,10 @@ const MAGIC: [u8; 4] = *b"DPRS";
 /// Stream format version; bumped on any layout change. Version 2 switched
 /// the log wire form to length-prefixed compact codec payloads; version 3
 /// made the stream the only container and dropped the per-epoch
-/// dependency vectors (round-robin placement determines them).
-const VERSION: u32 = 3;
+/// dependency vectors (round-robin placement determines them); version 4
+/// encodes schedule logs with one lead byte per event
+/// ([`crate::logs::codec`]).
+const VERSION: u32 = 4;
 /// Magics of the containers version 3 retired, with the names their
 /// version errors report: the monolithic recording and the single-stream
 /// journal.

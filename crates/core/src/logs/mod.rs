@@ -9,14 +9,14 @@
 //! 3. the per-epoch **state digests** stored in the recording, which are
 //!    not needed for replay but let every consumer verify it.
 //!
-//! [`codec`] provides the compact binary encoding used to measure log sizes
-//! and persist recordings.
+//! [`codec`] is the logs' one binary encoding, used both to measure log
+//! sizes and as their form in the recording stream.
 
 pub mod codec;
 pub mod schedule;
 pub mod syscalls;
 
-pub use codec::{decode_schedule, decode_syscalls, encode_schedule, encode_syscalls, CodecError};
+pub use codec::{decode_schedule, decode_syscalls, encode_schedule, encode_syscalls};
 pub use schedule::{SchedEvent, ScheduleLog};
 pub use syscalls::{
     apply_entry, request_hash, request_hash_args, SyscallCursor, SyscallLog, SyscallLogEntry,

@@ -149,35 +149,6 @@ impl FromIterator<SchedEvent> for ScheduleLog {
     }
 }
 
-dp_support::impl_wire_enum!(SchedEvent {
-    0 => Slice { tid, instrs },
-    1 => LoggedWake { tid },
-    2 => Signal { tid, sig },
-});
-
-/// Wire form: a length-prefixed [`super::codec::encode_schedule`] payload.
-/// Delegating to the compact codec makes the coordinator's cost-accounting
-/// encoding *the* serialized bytes, so the commit path can encode each log
-/// once and sinks splice the bytes in verbatim
-/// ([`crate::recording::EpochRecord::put_with`]).
-impl dp_support::wire::Wire for ScheduleLog {
-    fn put(&self, out: &mut Vec<u8>) {
-        let enc = super::codec::encode_schedule(self);
-        dp_support::wire::put_varint(out, enc.len() as u64);
-        out.extend_from_slice(&enc);
-    }
-
-    fn get(r: &mut dp_support::wire::Reader<'_>) -> Result<Self, dp_support::wire::WireError> {
-        let len = <usize as dp_support::wire::Wire>::get(r)?;
-        let offset = r.pos();
-        let raw = r.take(len, "schedule log payload")?;
-        super::codec::decode_schedule(raw).map_err(|e| dp_support::wire::WireError {
-            offset: offset + e.offset,
-            context: "schedule log payload",
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -183,37 +183,6 @@ pub fn apply_entry(machine: &mut Machine, entry: &SyscallLogEntry) {
     machine.complete_syscall(entry.tid, entry.ret);
 }
 
-dp_support::impl_wire_struct!(SyscallLogEntry {
-    tid,
-    num,
-    arg_hash,
-    ret,
-    effect,
-    via_wake
-});
-
-/// Wire form: a length-prefixed [`super::codec::encode_syscalls`] payload —
-/// same single-encoding scheme as [`super::schedule::ScheduleLog`]'s wire
-/// impl, so the commit path's cost-accounting encoding is reused verbatim
-/// by every sink.
-impl dp_support::wire::Wire for SyscallLog {
-    fn put(&self, out: &mut Vec<u8>) {
-        let enc = super::codec::encode_syscalls(self);
-        dp_support::wire::put_varint(out, enc.len() as u64);
-        out.extend_from_slice(&enc);
-    }
-
-    fn get(r: &mut dp_support::wire::Reader<'_>) -> Result<Self, dp_support::wire::WireError> {
-        let len = <usize as dp_support::wire::Wire>::get(r)?;
-        let offset = r.pos();
-        let raw = r.take(len, "syscall log payload")?;
-        super::codec::decode_syscalls(raw).map_err(|e| dp_support::wire::WireError {
-            offset: offset + e.offset,
-            context: "syscall log payload",
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

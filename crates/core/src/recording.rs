@@ -103,7 +103,7 @@ pub struct Recording {
 }
 
 impl Recording {
-    /// Encoded size of all schedule logs (compact wire format).
+    /// Encoded size of all schedule logs ([`codec::encode_schedule`]).
     pub fn schedule_bytes(&self) -> u64 {
         self.epochs
             .iter()
@@ -339,9 +339,9 @@ mod tests {
         let r = tiny_recording();
         let mut buf = Vec::new();
         r.save(&mut buf).unwrap();
-        // A version-2 stream is not corrupt, just older: rewrite the version
+        // A version-3 stream is not corrupt, just older: rewrite the version
         // field and expect the typed error, never Corrupt or a bogus decode.
-        buf[4..8].copy_from_slice(&2u32.to_le_bytes());
+        buf[4..8].copy_from_slice(&3u32.to_le_bytes());
         match Recording::load(&buf[..]) {
             Err(ReplayError::UnsupportedVersion {
                 container,
@@ -349,8 +349,8 @@ mod tests {
                 expected,
             }) => {
                 assert_eq!(container, "recording stream");
-                assert_eq!(found, 2);
-                assert_eq!(expected, 3);
+                assert_eq!(found, 3);
+                assert_eq!(expected, 4);
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }

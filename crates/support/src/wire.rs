@@ -14,7 +14,7 @@
 //! - decoded collections grow incrementally — lengths read from the
 //!   stream are *never* trusted for pre-allocation;
 //! - every failure path returns [`WireError`] with the byte offset and a
-//!   static context string, mirroring the log codec's `CodecError`.
+//!   static context string.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -69,6 +69,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read one byte.
+    #[inline]
     pub fn u8(&mut self, context: &'static str) -> Result<u8, WireError> {
         match self.buf.get(self.pos) {
             Some(&b) => {
@@ -83,6 +84,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read `n` raw bytes.
+    #[inline]
     pub fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], WireError> {
         let end = self
             .pos
@@ -97,7 +99,33 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// Splits off the next `n` bytes as a reader of their own, for a
+    /// length-prefixed payload. Its offsets stay those of the whole input,
+    /// so errors inside the payload need no translation.
+    #[inline]
+    pub fn sub(&mut self, n: usize, context: &'static str) -> Result<Reader<'a>, WireError> {
+        let start = self.pos;
+        self.take(n, context)?;
+        Ok(Reader {
+            buf: &self.buf[..self.pos],
+            pos: start,
+        })
+    }
+
+    /// Fails unless the whole input has been consumed.
+    pub fn expect_end(&self) -> Result<(), WireError> {
+        if self.is_empty() {
+            Ok(())
+        } else {
+            Err(WireError {
+                offset: self.pos,
+                context: "trailing bytes",
+            })
+        }
+    }
+
     /// Read an LEB128-encoded u64.
+    #[inline]
     pub fn varint(&mut self, context: &'static str) -> Result<u64, WireError> {
         let start = self.pos;
         let mut value = 0u64;
@@ -126,6 +154,7 @@ impl<'a> Reader<'a> {
 }
 
 /// Append an LEB128-encoded u64.
+#[inline]
 pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -157,12 +186,7 @@ pub fn to_bytes<T: Wire>(v: &T) -> Vec<u8> {
 pub fn from_bytes<T: Wire>(buf: &[u8]) -> Result<T, WireError> {
     let mut r = Reader::new(buf);
     let v = T::get(&mut r)?;
-    if !r.is_empty() {
-        return Err(WireError {
-            offset: r.pos(),
-            context: "trailing bytes",
-        });
-    }
+    r.expect_end()?;
     Ok(v)
 }
 

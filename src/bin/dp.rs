@@ -11,7 +11,6 @@
 //! dp analyze <FILE> triage --workload <name> [--threads N] [--size S]
 //! dp analyze <FILE> inspect
 //! dp analyze <FILE> diff <FILE2>
-//! dp analyze <FILE> compact [--out FILE] [--workload <name> ...]
 //! dp inspect <FILE>
 //! dp serve [--sessions N] [--dir PATH] [--runners N] [--cores N]
 //!          [--capacity N] [--threads N] [--size S] [--seed X] [--faults]
@@ -80,7 +79,7 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  dp list\n  dp record <workload> [--threads N] [--size S] [--epoch C] [--seed X] [--pipelined] [--workers N] [--out FILE] [--journal FILE] [--journal-shards N]\n  dp salvage <JOURNAL> [-o FILE]\n  dp replay <FILE> --workload <name> [--threads N] [--size S] [--parallel N]\n  dp analyze <FILE> race --workload <name> [--threads N] [--size S] [--assert-races|--assert-clean]\n  dp analyze <FILE> triage --workload <name> [--threads N] [--size S]\n  dp analyze <FILE> inspect\n  dp analyze <FILE> diff <FILE2>\n  dp analyze <FILE> compact [--out FILE] [--workload <name>]\n  dp inspect <FILE>\n  dp serve [--sessions N] [--dir PATH] [--runners N] [--cores N] [--capacity N] [--threads N] [--size S] [--seed X] [--faults] [--journal-shards N] [--json]\n  dp serve --socket PATH [--dir PATH] [--runners N] [--cores N] [--capacity N] [--conns N] [--resume-adopted] [--resume-budget N]\n  dp submit <workload> --socket PATH [--threads N] [--size S] [--epoch C] [--seed X] [--pipelined] [--workers N] [--priority high|normal|low] [--wait]\n  dp resume <ID> --socket PATH\n  dp attach <ID> --socket PATH [-o FILE]\n  dp shutdown --socket PATH\n  dp sessions <DIR> | dp sessions --socket PATH [--json]"
+        "usage:\n  dp list\n  dp record <workload> [--threads N] [--size S] [--epoch C] [--seed X] [--pipelined] [--workers N] [--out FILE] [--journal FILE] [--journal-shards N]\n  dp salvage <JOURNAL> [-o FILE]\n  dp replay <FILE> --workload <name> [--threads N] [--size S] [--parallel N]\n  dp analyze <FILE> race --workload <name> [--threads N] [--size S] [--assert-races|--assert-clean]\n  dp analyze <FILE> triage --workload <name> [--threads N] [--size S]\n  dp analyze <FILE> inspect\n  dp analyze <FILE> diff <FILE2>\n  dp inspect <FILE>\n  dp serve [--sessions N] [--dir PATH] [--runners N] [--cores N] [--capacity N] [--threads N] [--size S] [--seed X] [--faults] [--journal-shards N] [--json]\n  dp serve --socket PATH [--dir PATH] [--runners N] [--cores N] [--capacity N] [--conns N] [--resume-adopted] [--resume-budget N]\n  dp submit <workload> --socket PATH [--threads N] [--size S] [--epoch C] [--seed X] [--pipelined] [--workers N] [--priority high|normal|low] [--wait]\n  dp resume <ID> --socket PATH\n  dp attach <ID> --socket PATH [-o FILE]\n  dp shutdown --socket PATH\n  dp sessions <DIR> | dp sessions --socket PATH [--json]"
     );
     exit(2);
 }
@@ -102,13 +101,12 @@ fn write_atomic(cmd: &str, path: &str, bytes: &[u8]) {
         .unwrap_or_else(|e| fail(cmd, format_args!("cannot rename `{tmp}` to `{path}`: {e}")));
 }
 
-/// Reads and parses a recording (a saved recording or finalized journal,
-/// or a compact `DPRZ` file), failing with a structured error instead of
-/// panicking.
+/// Reads and parses a recording (a saved recording or finalized journal),
+/// failing with a structured error instead of panicking.
 fn load_recording(cmd: &str, path: &str) -> Recording {
     let bytes = std::fs::read(path)
         .unwrap_or_else(|e| fail(cmd, format_args!("cannot read `{path}`: {e}")));
-    analyze::load_any(&bytes)
+    Recording::load(&bytes[..])
         .unwrap_or_else(|e| fail(cmd, format_args!("cannot parse `{path}`: {e}")))
 }
 
@@ -308,43 +306,6 @@ fn cmd_analyze(argv: &[String]) {
             println!("{d}");
             if !d.identical() {
                 exit(1);
-            }
-        }
-        "compact" => {
-            let o = parse_opts(&argv[2..]);
-            let recording = load_recording("analyze", path);
-            let (_, stats) = analyze::compact(&recording);
-            println!("{stats}");
-            let out_path = o.out.clone().unwrap_or_else(|| format!("{path}.dprz"));
-            let mut buf = Vec::new();
-            analyze::save_compact(&recording, &mut buf)
-                .unwrap_or_else(|e| fail("analyze", format_args!("serialization failed: {e}")));
-            write_atomic("analyze", &out_path, &buf);
-            println!("wrote {out_path} ({} bytes)", buf.len());
-            // With the workload at hand, prove the round trip.
-            if o.workload.is_some() {
-                let case = required_case("analyze", &o);
-                let original = replay_sequential(&recording, &case.spec.program)
-                    .unwrap_or_else(|e| fail("analyze", format_args!("replay failed: {e}")));
-                let loaded = analyze::load_any(&buf)
-                    .unwrap_or_else(|e| fail("analyze", format_args!("round trip failed: {e}")));
-                let compacted =
-                    replay_sequential(&loaded, &case.spec.program).unwrap_or_else(|e| {
-                        fail("analyze", format_args!("round trip replay failed: {e}"))
-                    });
-                if compacted.final_hash != original.final_hash {
-                    fail(
-                        "analyze",
-                        format_args!(
-                            "round trip hash mismatch: {:#018x} vs {:#018x}",
-                            compacted.final_hash, original.final_hash
-                        ),
-                    );
-                }
-                println!(
-                    "round trip verified: final hash {:#018x}",
-                    compacted.final_hash
-                );
             }
         }
         _ => usage(),

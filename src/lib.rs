@@ -10,8 +10,7 @@
 //! * [`core`] — DoublePlay itself: the uniparallel recorder, divergence
 //!   detection with forward recovery, and sequential/parallel replay;
 //! * [`analyze`] — offline analysis of saved recordings: vector-clock
-//!   data-race detection, divergence triage, inspection/diffing, and
-//!   lossless log compaction;
+//!   data-race detection, divergence triage, and inspection/diffing;
 //! * [`baselines`] — conventional multiprocessor record/replay schemes for
 //!   comparison;
 //! * [`workloads`] — the paper-style benchmark suite;
